@@ -65,7 +65,6 @@ from .oracle import (
     mc_freedom,
     mc_freedom_conditional,
     region_polygon,
-    sample_simplex,
 )
 from .sensitivity import (
     NE_DOMINATES,
@@ -131,7 +130,6 @@ __all__ = [
     "measure_report",
     "normed_freedom",
     "region_polygon",
-    "sample_simplex",
     "subset_scan",
     "tighten",
     "validate",

@@ -25,8 +25,6 @@ from .errors import FreedomError, LowAcceptanceWarning, ParseError, TooManyCells
 
 COMMANDS = ("validate", "measure", "verify", "subsets", "sensitivity", "crosstab", "region")
 
-_MASK64 = (1 << 64) - 1
-
 
 @dataclass
 class RunConfig:
@@ -496,7 +494,7 @@ def main(argv: list[str] | None = None) -> int:
         command=args.command,
         input_path=args.input,
         samples=args.samples,
-        seed=args.seed & _MASK64,
+        seed=args.seed & oracle._MASK64,
         q=args.q,
         index=args.index,
         delta=args.delta,

@@ -16,7 +16,6 @@ closed form here; it is estimated by rejection sampling over the full
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,12 +25,12 @@ from .errors import (
     DegenerateCell,
     DomainError,
     FrechetViolation,
-    LowAcceptanceWarning,
     TooManyCells,
     ValidationError,
     Violation,
 )
-from .oracle import _CHUNK, MCEstimate, SplitMix64
+from . import oracle
+from .oracle import MCEstimate
 
 # Rejection sampling over the joint simplex degrades quickly with cell
 # count; beyond 12 cells the acceptance rate is no longer honest desk-scale.
@@ -287,8 +286,7 @@ def mc_joint_freedom(t: CrossTable, samples: int, seed: int) -> MCEstimate:
     rounding alone.  Raises TooManyCells beyond 12 cells and warns when
     fewer than 100 samples are accepted.
     """
-    if samples < 1:
-        raise DomainError("samples must be >= 1")
+    oracle._check_samples(samples)
     k, m = t.shape
     cells = k * m
     if cells > CELL_CAP:
@@ -297,17 +295,13 @@ def mc_joint_freedom(t: CrossTable, samples: int, seed: int) -> MCEstimate:
         )
     if cells < 2:
         raise DomainError("need at least 2 cells")
-    rng = SplitMix64(seed)
     row_ne = np.array(t.row_marginals.ne) - 1e-12
     row_po = np.array(t.row_marginals.po) + 1e-12
     col_ne = np.array(t.col_marginals.ne) - 1e-12
     col_po = np.array(t.col_marginals.po) + 1e-12
-    accepted = 0
-    done = 0
-    while done < samples:
-        rows_n = min(_CHUNK, samples - done)
-        u = rng.uniforms(rows_n * (cells - 1)).reshape(cells - 1, rows_n)
-        u.sort(axis=0)
+
+    def accept(u: np.ndarray) -> np.ndarray:
+        rows_n = u.shape[1]
         p = np.empty((cells, rows_n))
         p[0] = u[0]
         p[1:-1] = np.diff(u, axis=0)
@@ -320,15 +314,6 @@ def mc_joint_freedom(t: CrossTable, samples: int, seed: int) -> MCEstimate:
             ok &= (row_sums[i] >= row_ne[i]) & (row_sums[i] <= row_po[i])
         for j in range(m):
             ok &= (col_sums[j] >= col_ne[j]) & (col_sums[j] <= col_po[j])
-        accepted += int(np.count_nonzero(ok))
-        done += rows_n
-    if accepted < 100:
-        warnings.warn(
-            f"only {accepted} of {samples} samples accepted; "
-            "the joint estimate is noisy",
-            LowAcceptanceWarning,
-            stacklevel=2,
-        )
-    frac = accepted / samples
-    se = math.sqrt(frac * (1.0 - frac) / samples)
-    return MCEstimate(mean=frac, std_error=se, samples=samples, seed=int(seed))
+        return ok
+
+    return oracle._estimate(cells - 1, samples, seed, accept)

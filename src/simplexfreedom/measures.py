@@ -122,17 +122,17 @@ def freedom_conditional(
     return _box_simplex_volume(list(a.ne), list(a.po), q, a.m - 1)
 
 
+def _normed(f: float, m: int) -> float:
+    """f ** (1/(m-1)), returning f itself at m = 2 and at 0 and 1."""
+    if m == 2 or f == 0.0 or f == 1.0:
+        return f
+    return f ** (1.0 / (m - 1))
+
+
 def normed_freedom(a: IntervalAssignment, *, force_cap: bool = False) -> float:
     """freedom(a) ** (1/(M-1)): partially corrects for the option count
     when comparing assignments of different sizes."""
-    f = freedom(a, force_cap=force_cap)
-    if a.m == 2 or f == 0.0 or f == 1.0:
-        return f
-    return f ** (1.0 / (a.m - 1))
-
-
-def _sorted_po_descending(a: IntervalAssignment) -> list[float]:
-    return sorted(a.po, reverse=True)
+    return _normed(freedom(a, force_cap=force_cap), a.m)
 
 
 def yager_ambiguity(a: IntervalAssignment) -> float:
@@ -145,7 +145,7 @@ def yager_ambiguity(a: IntervalAssignment) -> float:
     A crisp singleton (one po = 1, rest 0) scores 0.  Uses only the po
     vector as given; ties are permitted in the sort.
     """
-    p = _sorted_po_descending(a)
+    p = sorted(a.po, reverse=True)
     p.append(0.0)
     return 1.0 - math.fsum((p[i] - p[i + 1]) / (i + 1) for i in range(a.m))
 
@@ -158,7 +158,7 @@ def hartley_nonspecificity(a: IntervalAssignment) -> float:
     Ranges over [0, log2(M)]; note log2(1) = 0, so the largest possibility
     never contributes and raising it leaves I unchanged.
     """
-    p = _sorted_po_descending(a)
+    p = sorted(a.po, reverse=True)
     p.append(0.0)
     return math.fsum((p[i] - p[i + 1]) * math.log2(i + 1) for i in range(a.m))
 
@@ -186,7 +186,6 @@ def measure_report(
     supplied the unnormalized conditional freedom at mass q is included.
     """
     f = freedom(a, force_cap=force_cap)
-    s = f if a.m == 2 or f in (0.0, 1.0) else f ** (1.0 / (a.m - 1))
     cond = None
     if q is not None:
         cond = freedom_conditional(a, q, force_cap=force_cap)
@@ -194,7 +193,7 @@ def measure_report(
         freedom=f,
         yager_ambiguity=yager_ambiguity(a),
         hartley_nonspecificity=hartley_nonspecificity(a),
-        normed_freedom=s,
+        normed_freedom=_normed(f, a.m),
         m=a.m,
         conditional_freedom=cond,
         q=q,

@@ -18,18 +18,24 @@ vectorizes exactly onto the sequential stream.
 
 Simplex sampling uses the order-statistics spacings construction: sort M-1
 uniforms and take successive differences against 0 and 1.  This is exactly
-uniform on the simplex and needs no transcendental functions.
+uniform on the simplex and needs no transcendental functions.  All three
+rejection estimators (``mc_freedom``, ``mc_freedom_conditional`` and
+``crosstab.mc_joint_freedom``, with cells flattened row-major) share one
+layout: rows come in blocks of 2^20 (the last holds the rest), coordinate i
+of row r in a block is word i*rows + r of that block, and each row is sorted
+ascending (any correct sort gives the same bits).
 """
 
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import IntervalAssignment
-from .errors import DomainError, WrongDimension
+from .errors import DomainError, LowAcceptanceWarning, WrongDimension
 from .measures import _ipow
 
 _MASK64 = (1 << 64) - 1
@@ -41,7 +47,8 @@ _MIX2 = 0x94D049BB133111EB
 _DERIVE = 0xD1B54A32D192ED03
 
 # Samples per internal block.  Fixed constant: the coordinate-major stream
-# layout below depends on it, and changing it would change estimates.
+# layout in the module docstring depends on it, and changing it would change
+# estimates.
 _CHUNK = 1 << 20
 
 # Optimal sorting networks (comparator index pairs) for tiny widths; wider
@@ -108,14 +115,6 @@ def derive_worker_seed(seed: int, worker_index: int) -> int:
     return mix64((int(seed) + (worker_index + 1) * _DERIVE) & _MASK64)
 
 
-def sample_simplex(m: int, rng: SplitMix64) -> np.ndarray:
-    """One uniform draw from {p >= 0, sum(p) = 1} with m coordinates."""
-    if m < 2:
-        raise DomainError("need at least 2 coordinates")
-    u = np.sort(rng.uniforms(m - 1))
-    return np.diff(u, prepend=0.0, append=1.0)
-
-
 @dataclass(frozen=True)
 class MCEstimate:
     """A Monte-Carlo volume estimate and its binomial standard error."""
@@ -126,44 +125,61 @@ class MCEstimate:
     seed: int
 
 
-def _sorted_coordinate_blocks(rng: SplitMix64, k: int, rows: int) -> np.ndarray:
-    """(k, rows) array of sorted uniforms, coordinate-major within the chunk."""
-    u = rng.uniforms(rows * k).reshape(k, rows)
-    if k <= 5:
-        for a, b in _NETWORKS[k]:
-            lo = np.minimum(u[a], u[b])
-            np.maximum(u[a], u[b], out=u[b])
-            u[a] = lo
-    else:
-        u.sort(axis=0)
-    return u
+def _check_samples(samples: int) -> None:
+    """Every estimator checks its sample count before its other arguments."""
+    if samples < 1:
+        raise DomainError("samples must be >= 1")
 
 
-def _acceptance_fraction(
-    ne, po, scale: float, samples: int, rng: SplitMix64
-) -> float:
-    """Fraction of spacings-sampled mass-``scale`` simplex points inside the box."""
-    m = len(ne)
+def _estimate(k: int, samples: int, seed: int, accept, factor=1.0) -> MCEstimate:
+    """The one rejection sampler: ``samples`` rows of k sorted uniforms in the
+    layout above, handed to ``accept`` as (k, rows) blocks; the accepted
+    fraction and its binomial SE are scaled by ``factor``.  Warns at the
+    estimator's caller when fewer than 100 rows are accepted."""
+    rng = SplitMix64(seed)
     accepted = 0
-    done = 0
-    while done < samples:
+    for done in range(0, samples, _CHUNK):
         rows = min(_CHUNK, samples - done)
-        u = _sorted_coordinate_blocks(rng, m - 1, rows)
-        ok = np.ones(rows, dtype=bool)
+        u = rng.uniforms(rows * k).reshape(k, rows)
+        if k in _NETWORKS:
+            for i, j in _NETWORKS[k]:
+                lo = np.minimum(u[i], u[j])
+                np.maximum(u[i], u[j], out=u[j])
+                u[i] = lo
+        else:
+            u.sort(axis=0)
+        accepted += int(np.count_nonzero(accept(u)))
+    if accepted < 100:
+        warnings.warn(
+            f"only {accepted} of {samples} samples accepted; the estimate is noisy",
+            LowAcceptanceWarning,
+            stacklevel=3,
+        )
+    frac = accepted / samples
+    se = factor * math.sqrt(frac * (1.0 - frac) / samples)
+    return MCEstimate(
+        mean=frac * factor, std_error=se, samples=samples, seed=int(seed)
+    )
+
+
+def _box_test(ne, po, scale: float):
+    """Predicate: every spacing times ``scale`` lies in [ne_i, po_i], tested
+    one coordinate at a time (no (M, rows) array of spacings)."""
+    m = len(ne)
+
+    def accept(u: np.ndarray) -> np.ndarray:
+        ok = np.ones(u.shape[1], dtype=bool)
         prev: np.ndarray | float = 0.0
-        for i in range(m - 1):
-            p = u[i] - prev
+        for i in range(m):
+            cut = u[i] if i < m - 1 else 1.0
+            p = cut - prev
             if scale != 1.0:
                 p = p * scale
             ok &= (p >= ne[i]) & (p <= po[i])
-            prev = u[i]
-        p_last = 1.0 - u[m - 2]
-        if scale != 1.0:
-            p_last = p_last * scale
-        ok &= (p_last >= ne[m - 1]) & (p_last <= po[m - 1])
-        accepted += int(np.count_nonzero(ok))
-        done += rows
-    return accepted / samples
+            prev = cut
+        return ok
+
+    return accept
 
 
 def mc_freedom(a: IntervalAssignment, samples: int, seed: int) -> MCEstimate:
@@ -171,15 +187,13 @@ def mc_freedom(a: IntervalAssignment, samples: int, seed: int) -> MCEstimate:
 
     Uniform simplex samples are accepted when ne_i <= p_i <= po_i for all i
     (closed bounds, no tolerance: the boundary has measure zero).  The
-    estimate is a pure function of (assignment, samples, seed).
+    estimate is a pure function of (assignment, samples, seed).  Warns with
+    LowAcceptanceWarning when fewer than 100 samples are accepted.
     """
-    if samples < 1:
-        raise DomainError("samples must be >= 1")
+    _check_samples(samples)
     if a.m < 2:
         raise DomainError("need at least 2 options")
-    frac = _acceptance_fraction(a.ne, a.po, 1.0, samples, SplitMix64(seed))
-    se = math.sqrt(frac * (1.0 - frac) / samples)
-    return MCEstimate(mean=frac, std_error=se, samples=samples, seed=int(seed))
+    return _estimate(a.m - 1, samples, seed, _box_test(a.ne, a.po, 1.0))
 
 
 def mc_freedom_conditional(
@@ -192,18 +206,14 @@ def mc_freedom_conditional(
     mean matches the closed form.  The standard error is the binomial error
     of the acceptance fraction scaled by the same factor.
     """
-    if samples < 1:
-        raise DomainError("samples must be >= 1")
+    _check_samples(samples)
     if a.m < 2:
         raise DomainError("need at least 2 options")
     q = float(q)
     if not (0.0 < q <= 1.0):
         raise DomainError(f"q = {q!r} outside (0, 1]")
-    frac = _acceptance_fraction(a.ne, a.po, q, samples, SplitMix64(seed))
-    factor = _ipow(q, a.m - 1)
-    se = factor * math.sqrt(frac * (1.0 - frac) / samples)
-    return MCEstimate(
-        mean=frac * factor, std_error=se, samples=samples, seed=int(seed)
+    return _estimate(
+        a.m - 1, samples, seed, _box_test(a.ne, a.po, q), _ipow(q, a.m - 1)
     )
 
 

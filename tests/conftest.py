@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import math
-
 import pytest
 
 from simplexfreedom import IntervalAssignment, SplitMix64, freedom, tighten, validate
@@ -50,7 +48,3 @@ def assert_within_4se(closed: float, mean: float, se: float, context: str = ""):
 @pytest.fixture
 def rng():
     return SplitMix64(20260810)
-
-
-def fsum_interval(values):
-    return math.fsum(values)

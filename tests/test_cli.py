@@ -317,6 +317,15 @@ class TestExitCodes:
         rep = json.loads(capsys.readouterr().out)
         assert rep["results"]["freedom"] == pytest.approx(0.25, abs=1e-12)
 
+    def test_main_reduces_seed_modulo_2_64(self, tmp_path, capsys):
+        path = write(tmp_path, "a.json", F3_QUARTER)
+        reports = []
+        for seed in ("-1", str(2**64 - 1)):
+            assert main(["verify", path, "--samples", "10000", "--seed", seed]) == 0
+            reports.append(json.loads(capsys.readouterr().out))
+        assert reports[0]["seed"] == reports[1]["seed"] == 18446744073709551615
+        assert reports[0]["results"] == reports[1]["results"]
+
     def test_main_unknown_command_exit_3(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate", "x.json"])

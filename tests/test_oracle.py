@@ -8,7 +8,9 @@ import numpy as np
 import pytest
 
 from simplexfreedom import (
+    CrossTable,
     DomainError,
+    LowAcceptanceWarning,
     SplitMix64,
     WrongDimension,
     IntervalAssignment,
@@ -16,8 +18,8 @@ from simplexfreedom import (
     freedom,
     mc_freedom,
     mc_freedom_conditional,
+    mc_joint_freedom,
     region_polygon,
-    sample_simplex,
     validate,
 )
 
@@ -72,21 +74,6 @@ class TestSplitMix64:
 
 
 class TestSampleSimplex:
-    def test_two_options_reduce_to_uniform_pair(self):
-        rng = SplitMix64(5)
-        check = SplitMix64(5)
-        for _ in range(20):
-            p = sample_simplex(2, rng)
-            u = check.random()
-            assert p[0] == u and p[1] == 1.0 - u
-
-    def test_coordinates_sum_to_one(self):
-        rng = SplitMix64(6)
-        for m in (2, 3, 5):
-            p = sample_simplex(m, rng)
-            assert np.all(p >= 0.0)
-            assert math.fsum(p) == pytest.approx(1.0, abs=1e-12)
-
     def test_symmetric_means(self):
         rng = SplitMix64(77)
         n = 100_000
@@ -106,10 +93,6 @@ class TestSampleSimplex:
         frac = float(np.count_nonzero(p1 > 0.5)) / n
         se = math.sqrt(0.25 * 0.75 / n)
         assert abs(frac - 0.25) <= 4.0 * se
-
-    def test_rejects_single_coordinate(self):
-        with pytest.raises(DomainError):
-            sample_simplex(1, SplitMix64(1))
 
 
 class TestMcFreedom:
@@ -146,6 +129,13 @@ class TestMcFreedom:
         est = mc_freedom(validate([0, 0], [1, 1]), 1234, 5678)
         assert est.samples == 1234 and est.seed == 5678
 
+    def test_low_acceptance_warns_at_caller(self):
+        a = validate([0.33, 0.33, 0.33], [0.34, 0.34, 0.34])
+        with pytest.warns(LowAcceptanceWarning) as caught:
+            est = mc_freedom(a, 20_000, 1)
+        assert est.mean * est.samples < 100
+        assert caught[0].filename == __file__
+
 
 class TestMcFreedomConditional:
     def test_q_one_equals_plain_estimate(self):
@@ -169,6 +159,56 @@ class TestMcFreedomConditional:
     def test_domain(self, q):
         with pytest.raises(DomainError):
             mc_freedom_conditional(validate([0, 0], [1, 1]), q, 100, 1)
+
+    def test_low_acceptance_warns_at_caller(self):
+        a = validate([0.33, 0.33, 0.33], [0.34, 0.34, 0.34])
+        with pytest.warns(LowAcceptanceWarning) as caught:
+            mc_freedom_conditional(a, 1.0, 20_000, 1)
+        assert caught[0].filename == __file__
+
+
+def _pinned_assignment(m: int) -> IntervalAssignment:
+    return validate([0.01 * i for i in range(m)], [1.5 / m + 0.02 * i for i in range(m)])
+
+
+def _pinned_table(k: int, m: int) -> CrossTable:
+    return CrossTable(
+        validate([0.1 / k] * k, [1.5 / k] * k), validate([0.05 / m] * m, [1.6 / m] * m)
+    )
+
+
+# (estimator, size, samples, mean, std_error), recorded before the three
+# estimators shared one sampler.  Seeds equal the option or cell count.
+# M = 2..6 and joint tables up to 6 cells sort with a sorting network, the
+# rest with numpy; 1_100_000 samples cross the 2^20-row block seam.
+PINNED = [
+    ("plain", 2, 20_000, "0x1.0816f0068db8cp-1", "0x1.cf2d961392155p-9"),
+    ("plain", 3, 1_100_000, "0x1.38f3f8ffe3671p-2", "0x1.cc9105643347bp-12"),
+    ("plain", 4, 20_000, "0x1.856d5cfaacd9fp-3", "0x1.6bb3a5a941657p-9"),
+    ("plain", 5, 20_000, "0x1.102de00d1b717p-3", "0x1.3a9fc63e2384ep-9"),
+    ("plain", 6, 20_000, "0x1.a2d0e56041893p-4", "0x1.18cdfd7a14facp-9"),
+    ("plain", 7, 20_000, "0x1.34d6a161e4f76p-4", "0x1.e96d339d664e2p-10"),
+    ("plain", 8, 20_000, "0x1.566cf41f212d7p-5", "0x1.72f8d5ef2c830p-10"),
+    ("conditional", 3, 1_100_000, "0x1.7cbc84babe381p-2", "0x1.a32935b504367p-13"),
+    ("conditional", 7, 20_000, "0x1.9ac3674f42d3dp-7", "0x1.0d24e9a28ffebp-12"),
+    ("joint", (2, 2), 1_100_000, "0x1.2290132f26102p-1", "0x1.ef4fe395243e0p-12"),
+    ("joint", (2, 3), 20_000, "0x1.d4a2339c0ebeep-2", "0x1.cdbe86565eb6dp-9"),
+    ("joint", (3, 4), 20_000, "0x1.7e4f765fd8adbp-2", "0x1.c04bf39b6b1dfp-9"),
+]
+
+
+@pytest.mark.parametrize(
+    "kind, size, samples, mean, std_error", PINNED, ids=[f"{c[0]}-{c[1]}" for c in PINNED]
+)
+def test_estimates_are_pinned_bit_for_bit(kind, size, samples, mean, std_error):
+    if kind == "plain":
+        est = mc_freedom(_pinned_assignment(size), samples, size)
+    elif kind == "conditional":
+        est = mc_freedom_conditional(_pinned_assignment(size), 0.7, samples, size)
+    else:
+        est = mc_joint_freedom(_pinned_table(*size), samples, size[0] * size[1])
+    assert est.mean.hex() == mean
+    assert est.std_error.hex() == std_error
 
 
 class TestRegionPolygon:
