@@ -23,7 +23,10 @@ rejection estimators (``mc_freedom``, ``mc_freedom_conditional`` and
 ``crosstab.mc_joint_freedom``, with cells flattened row-major) share one
 layout: rows come in blocks of 2^20 (the last holds the rest), coordinate i
 of row r in a block is word i*rows + r of that block, and each row is sorted
-ascending (any correct sort gives the same bits).
+ascending (any correct sort gives the same bits).  That layout is the
+contract.  A block is evaluated 2^15 rows at a time, each coordinate read
+from its own stream seeked to the start of its counter run, which is only an
+order of evaluation: it changes no bit of any estimate.
 """
 
 from __future__ import annotations
@@ -50,6 +53,10 @@ _DERIVE = 0xD1B54A32D192ED03
 # layout in the module docstring depends on it, and changing it would change
 # estimates.
 _CHUNK = 1 << 20
+# Rows per sub-block: each block is drawn, sorted and tested 2^15 rows at a
+# time so its working set (k * 256 KiB of doubles) stays in cache.  Only the
+# order of evaluation depends on it; estimates do not.
+_SUB = 1 << 15
 
 # Optimal sorting networks (comparator index pairs) for tiny widths; wider
 # sorts fall back to numpy.
@@ -133,22 +140,30 @@ def _check_samples(samples: int) -> None:
 
 def _estimate(k: int, samples: int, seed: int, accept, factor=1.0) -> MCEstimate:
     """The one rejection sampler: ``samples`` rows of k sorted uniforms in the
-    layout above, handed to ``accept`` as (k, rows) blocks; the accepted
+    layout above, handed to ``accept`` as (k, b) sub-blocks; the accepted
     fraction and its binomial SE are scaled by ``factor``.  Warns at the
     estimator's caller when fewer than 100 rows are accepted."""
-    rng = SplitMix64(seed)
     accepted = 0
     for done in range(0, samples, _CHUNK):
         rows = min(_CHUNK, samples - done)
-        u = rng.uniforms(rows * k).reshape(k, rows)
-        if k in _NETWORKS:
-            for i, j in _NETWORKS[k]:
-                lo = np.minimum(u[i], u[j])
-                np.maximum(u[i], u[j], out=u[j])
-                u[i] = lo
-        else:
-            u.sort(axis=0)
-        accepted += int(np.count_nonzero(accept(u)))
+        # coordinate i of this block is the counter run starting at word
+        # done*k + i*rows; one stream each, walked a sub-block at a time
+        streams = [
+            SplitMix64(int(seed) + (done * k + i * rows) * _GOLDEN) for i in range(k)
+        ]
+        for start in range(0, rows, _SUB):
+            b = min(_SUB, rows - start)
+            u = np.empty((k, b))
+            for i, stream in enumerate(streams):
+                u[i] = stream.uniforms(b)
+            if k in _NETWORKS:
+                for i, j in _NETWORKS[k]:
+                    lo = np.minimum(u[i], u[j])
+                    np.maximum(u[i], u[j], out=u[j])
+                    u[i] = lo
+            else:
+                u.sort(axis=0)
+            accepted += int(np.count_nonzero(accept(u)))
     if accepted < 100:
         warnings.warn(
             f"only {accepted} of {samples} samples accepted; the estimate is noisy",
