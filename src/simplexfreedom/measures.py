@@ -6,37 +6,29 @@ inclusion-exclusion over all subsets T of the M options gives
 
     F = sum_T (-1)^|T| * max(0, 1 - W_T)^(M-1)
 
-which is 1 exactly for the vacuous assignment and 0 exactly when some
-tightened interval collapses to a point.  The rival measures A (anxiety
-ordering over sorted possibilities) and I (a Hartley-style bit count) use
-only the possibility vector and are insensitive to distinctions F resolves.
+It is evaluated exactly, on integers, by meet in the middle over two halves
+of the options (about 2^(M/2) subsets each, not 2^M), and rounded once to
+the nearest float.  So F is 1 exactly for the vacuous assignment and 0
+exactly when the region has no volume, as when an interval collapses to a
+point.  The rival measures A (anxiety ordering over sorted possibilities)
+and I (a Hartley-style bit count) use only the possibility vector and are
+insensitive to distinctions F resolves.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 
-from .core import TOLERANCE, IntervalAssignment, tightened_bounds
+from .core import TOLERANCE, IntervalAssignment
 from .errors import CapExceeded, DomainError, ValidationError, Violation
 
-# Hard cap on the option count for closed-form evaluation: 2^24 subsets keeps
-# the worst case bounded at desk scale.  Pass force_cap=True to exceed it.
+# Hard cap on the option count for closed-form evaluation: the two halves
+# of the meet-in-the-middle sum enumerate at most about 2^12 subsets each at
+# 24 options, which keeps the worst case at desk scale.  Pass force_cap=True
+# to exceed it.
 OPTION_CAP = 24
-
-# Tightened intervals at least this narrow are treated as collapsed.  1e-12
-# absorbs one-ulp noise from the tightening arithmetic while staying far
-# below any humanly distinguishable width; the true volume of such a region
-# is below 1e-12 in every case.
-_WIDTH_FLOOR = 1e-12
-
-
-def _ipow(x: float, n: int) -> float:
-    """x**n by repeated multiplication: exact control over rounding, no libm."""
-    r = 1.0
-    for _ in range(n):
-        r *= x
-    return r
 
 
 def _check_cap(m: int, force_cap: bool) -> None:
@@ -54,49 +46,97 @@ def _require_measurable(a: IntervalAssignment) -> None:
         )
 
 
+def _scaled(values: list[float]) -> tuple[list[int], int]:
+    """Integers n_i and one exponent e with values[i] == n_i / 2**e exactly."""
+    ratios = [v.as_integer_ratio() for v in values]
+    e = max(d.bit_length() - 1 for _, d in ratios)
+    return [n << (e - (d.bit_length() - 1)) for n, d in ratios], e
+
+
+def _width_sums(
+    groups: list[tuple[int, int]], base: int
+) -> list[tuple[int, int]]:
+    """(W, b) for every choice of k_v options from each group (width w_v,
+    count c_v) with W = sum_v k_v * w_v < base; b = prod_v (-1)^k_v C(c_v, k_v).
+    A larger W gives a zero term, and so does every extension of it."""
+    sums = [(0, 1)]
+    for w, c in groups:
+        grown = []
+        for k in range(c + 1):
+            shift = k * w
+            if shift >= base:
+                break
+            coef = (-1) ** k * math.comb(c, k)
+            grown.extend((s + shift, b * coef) for s, b in sums if s + shift < base)
+        sums = grown
+    return sums
+
+
 def _box_simplex_volume(
     ne: list[float], po: list[float], mass: float, exponent: int
 ) -> float:
     """Volume of {p >= 0, sum(p) = mass, ne <= p <= po}, rescaled so the
-    unconstrained mass-1 simplex has volume 1.
+    unconstrained mass-1 simplex has volume 1, correctly rounded.
 
-    Enumerates subsets recursively; a subset whose max(0, .) argument is
-    already nonpositive is pruned together with all its supersets (widths are
-    nonnegative, so the argument can only shrink).  Total for any bounds,
-    including empty regions, which evaluate to 0.
+    Every float is an integer over a power of two, so scaling all bounds by
+    2^e makes the inclusion-exclusion sum exact on Python integers.  Options
+    of equal width form one group with binomial weights, and the groups are
+    split into two halves of about equal subset counts (meet in the middle).
+    With x = base - W_A for a subset of the first half and n = exponent, the
+    second half's subsets with W_B < x contribute
+
+        sum_B b_B (x - W_B)^n = sum_j nu_j x^(n-j),
+        nu_j = (-1)^j C(n, j) sum_B b_B W_B^j,
+
+    so one sweep over both halves, sorted, carries the n + 1 running moments
+    nu_j and evaluates each x by Horner.  The total is rounded once.  Total
+    for any bounds, including empty regions, which evaluate to 0.
     """
     m = len(ne)
-    base = mass - math.fsum(ne)
-    if base <= 0.0 or math.fsum(po) <= mass:
+    ints, e = _scaled([*ne, *po, mass])
+    lo, hi = ints[:m], ints[m : 2 * m]
+    base = ints[2 * m] - sum(lo)
+    widths = [p - n for n, p in zip(lo, hi)]
+    if base <= 0 or sum(hi) <= ints[2 * m] or min(widths) <= 0:
         return 0.0  # empty or measure-zero region, exactly
-    widths = [po[i] - ne[i] for i in range(m)]
-    if min(widths) <= _WIDTH_FLOOR:
-        return 0.0
 
-    total = 0.0
+    halves: tuple[list, list] = ([], [])
+    sizes = [1, 1]
+    for group in sorted(Counter(widths).items(), key=lambda g: -g[1]):
+        h = sizes[1] < sizes[0]  # the half with fewer subsets so far
+        halves[h].append(group)
+        sizes[h] *= group[1] + 1
+    first = sorted((base - s, b) for s, b in _width_sums(halves[0], base))
+    second = sorted(_width_sums(halves[1], base))
 
-    def rec(start: int, arg: float, sign: float) -> None:
-        nonlocal total
-        total += sign * _ipow(arg, exponent)
-        for j in range(start, m):
-            arg2 = arg - widths[j]
-            if arg2 > 0.0:
-                rec(j + 1, arg2, -sign)
-
-    rec(0, base, 1.0)
-    return min(1.0, max(0.0, total))
+    coefs = [(-1) ** j * math.comb(exponent, j) for j in range(exponent + 1)]
+    nu = [0] * (exponent + 1)
+    total = 0
+    i = 0
+    for x, bx in first:
+        while i < len(second) and second[i][0] < x:
+            w, t = second[i]
+            i += 1
+            for j, c in enumerate(coefs):
+                nu[j] += c * t
+                t *= w
+        h = 0
+        for v in nu:
+            h = h * x + v
+        total += bx * h
+    return total / (1 << (e * exponent))
 
 
 def freedom(a: IntervalAssignment, *, force_cap: bool = False) -> float:
     """Fraction of the simplex volume compatible with the bounds, in [0, 1].
 
-    Computed on the tightened bounds (same value, better-scaled terms).
-    Raises CapExceeded for more than OPTION_CAP options unless forced.
+    Computed on the bounds as given: tightening leaves the region, and so
+    the exact value, unchanged.  Raises CapExceeded for more than OPTION_CAP
+    options unless forced.
     """
     _require_measurable(a)
     _check_cap(a.m, force_cap)
-    ne, po = tightened_bounds(a)
-    return _box_simplex_volume(ne, po, 1.0, a.m - 1)
+    return _box_simplex_volume(list(a.ne), list(a.po), 1.0, a.m - 1)
 
 
 def freedom_conditional(
@@ -111,8 +151,7 @@ def freedom_conditional(
         F_cond = sum_T (-1)^|T| * max(0, q - W_T)^(K-1)
 
     This is a volume, not a fraction of the sub-simplex (no division by
-    q^(K-1)); at q = 1 it coincides with :func:`freedom` up to the tightening
-    of bounds.
+    q^(K-1)); at q = 1 it coincides with :func:`freedom`.
     """
     _require_measurable(a)
     _check_cap(a.m, force_cap)
@@ -181,8 +220,8 @@ def measure_report(
 ) -> MeasureReport:
     """Bundle F, A, I, S for one assignment.
 
-    Freedom (and its normed form) is computed on the tightened bounds; the
-    possibility-only measures use the po vector exactly as given.  When q is
+    Freedom (and its normed form) is computed on the bounds as given, like
+    the possibility-only measures, which use only the po vector.  When q is
     supplied the unnormalized conditional freedom at mass q is included.
     """
     f = freedom(a, force_cap=force_cap)
@@ -246,7 +285,7 @@ def subset_scan(a: IntervalAssignment, *, force_cap: bool = False) -> SubsetScan
             omitted += 1
             continue
         q = 1.0 - math.fsum(a.ne[j] for j in rest)
-        if q <= _WIDTH_FLOOR:
+        if q <= 1e-12:  # no mass left beyond the complement's rounding
             value = 0.0
             q = max(q, 0.0)
         else:

@@ -39,7 +39,6 @@ import numpy as np
 
 from .core import IntervalAssignment
 from .errors import DomainError, LowAcceptanceWarning, WrongDimension
-from .measures import _ipow
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -195,6 +194,14 @@ def _box_test(ne, po, scale: float):
         return ok
 
     return accept
+
+
+def _ipow(x: float, n: int) -> float:
+    """x**n by repeated multiplication: exact control over rounding, no libm."""
+    r = 1.0
+    for _ in range(n):
+        r *= x
+    return r
 
 
 def mc_freedom(a: IntervalAssignment, samples: int, seed: int) -> MCEstimate:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -154,6 +155,61 @@ class TestConditionalFreedom:
         a = validate([0, 0], [1, 1])
         with pytest.raises(DomainError):
             freedom_conditional(a, q)
+
+
+def brute_volume(ne, po, mass: float = 1.0) -> float:
+    """sum_T (-1)^|T| max(0, mass - W_T)^(M-1) over all 2^M subsets, on
+    Fractions (no pruning, grouping or splitting), rounded once."""
+    m = len(ne)
+    args = [Fraction(mass) - sum(map(Fraction, ne))]  # args[T] = mass - W_T
+    for n, p in zip(ne, po):
+        args += [a - (Fraction(p) - Fraction(n)) for a in args]
+    total = Fraction(0)
+    for mask, arg in enumerate(args):
+        if arg > 0:
+            total += (-1) ** mask.bit_count() * arg ** (m - 1)
+    return float(total)
+
+
+class TestExactness:
+    def test_cancellation_regressions(self):
+        # the float recursion returned 0.0 and 3.2318e-11 here
+        assert freedom(validate([0.0] * 14, [1.05 / 14] * 14)) == 1.2207031249999877e-17
+        assert freedom(validate([0.0] * 16, [1.2 / 16] * 16)) == 3.2313256311222804e-11
+
+    @pytest.mark.parametrize("m", range(2, 13))
+    def test_equals_brute_force_sum(self, m):
+        gen = SplitMix64(7000 + m)
+        cases = []
+        # distinct widths, full-precision bounds
+        ne = [0.1 * gen.random() / m for _ in range(m)]
+        cases.append((ne, [min(1.0, n + (1.2 + 1.3 * gen.random()) / m) for n in ne]))
+        # a 0.05 decimal grid, each po at least 1/m: many equal widths
+        low = -(-20 // m)
+        cases.append(([0.0] * m, [0.05 * (low + int(gen.random() * (21 - low)))
+                                  for _ in range(m)]))
+        # one group of equal widths
+        cases.append(([0.0] * m, [1.3 / m] * m))
+        # one zero width
+        ne = [0.5 * gen.random() / m for _ in range(m)]
+        po = [min(1.0, n + 3.0 / m) for n in ne]
+        k = int(gen.random() * m)
+        po[k] = ne[k]
+        cases.append((ne, po))
+        for ne, po in cases:
+            a = validate(ne, po)
+            f = brute_volume(a.ne, a.po)
+            assert freedom(a) == f
+            assert freedom_conditional(a, 1.0) == f
+            q = 1.0 - 0.9 * gen.random()
+            assert freedom_conditional(a, q) == brute_volume(a.ne, a.po, q)
+        # empty regions: the mass is below sum(ne) or above sum(po)
+        a = validate(*cases[0])
+        assert freedom_conditional(a, 0.9 * sum(a.ne)) == 0.0
+        assert freedom_conditional(a, 1.0) > 0.0
+        assert brute_volume(a.ne, a.po, 0.9 * sum(a.ne)) == 0.0
+        short = IntervalAssignment(tuple("abc"), (0.0,) * 3, (0.3,) * 3)
+        assert freedom(short) == 0.0 == brute_volume(short.ne, short.po)
 
 
 class TestNormedFreedom:
