@@ -300,20 +300,37 @@ def mc_joint_freedom(t: CrossTable, samples: int, seed: int) -> MCEstimate:
     col_ne = np.array(t.col_marginals.ne) - 1e-12
     col_po = np.array(t.col_marginals.po) + 1e-12
 
-    def accept(u: np.ndarray) -> np.ndarray:
-        rows_n = u.shape[1]
-        p = np.empty((cells, rows_n))
-        p[0] = u[0]
-        p[1:-1] = np.diff(u, axis=0)
-        p[-1] = 1.0 - u[-1]
-        table = p.reshape(k, m, rows_n)
-        row_sums = table.sum(axis=1)
-        col_sums = table.sum(axis=0)
-        ok = np.ones(rows_n, dtype=bool)
-        for i in range(k):
-            ok &= (row_sums[i] >= row_ne[i]) & (row_sums[i] <= row_po[i])
-        for j in range(m):
-            ok &= (col_sums[j] >= col_ne[j]) & (col_sums[j] <= col_po[j])
-        return ok
+    def accept_for(width: int):
+        # table cell (i, j) is spacing i*m + j; its row and column sums add
+        # the spacings one at a time, the order numpy reduces a non-innermost
+        # axis in, into buffers made once per estimate
+        p = np.empty(width)
+        row_sums = np.empty((k, width))
+        col_sums = np.empty((m, width))
+        ok = np.empty(width, dtype=bool)
+        hit = np.empty(width, dtype=bool)
 
-    return oracle._estimate(cells - 1, samples, seed, accept)
+        def accept(u: list[np.ndarray]) -> np.ndarray:
+            b = len(u[0])
+            pb, rows, cols = p[:b], row_sums[:, :b], col_sums[:, :b]
+            for c, spacing in enumerate(oracle._spacings(u, pb)):
+                i, j = divmod(c, m)
+                if j:
+                    rows[i] += spacing
+                else:
+                    rows[i] = spacing
+                if i:
+                    cols[j] += spacing
+                else:
+                    cols[j] = spacing
+            okb, hitb = ok[:b], hit[:b]
+            okb.fill(True)
+            for i in range(k):
+                oracle._within(rows[i], row_ne[i], row_po[i], okb, hitb)
+            for j in range(m):
+                oracle._within(cols[j], col_ne[j], col_po[j], okb, hitb)
+            return okb
+
+        return accept
+
+    return oracle._estimate(cells - 1, samples, seed, accept_for)

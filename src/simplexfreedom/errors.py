@@ -42,7 +42,7 @@ class ParseError(FreedomError):
 
 
 class CapExceeded(FreedomError):
-    """Closed-form evaluation would enumerate more subsets than the cap allows."""
+    """Closed-form evaluation asked for more options than OPTION_CAP allows."""
 
 
 class DomainError(FreedomError):

@@ -34,8 +34,8 @@ OPTION_CAP = 24
 def _check_cap(m: int, force_cap: bool) -> None:
     if m > OPTION_CAP and not force_cap:
         raise CapExceeded(
-            f"{m} options imply 2^{m} inclusion-exclusion terms; "
-            f"the cap is 2^{OPTION_CAP} (pass force_cap=True to override)"
+            f"{m} options exceed the closed-form cap of {OPTION_CAP} options "
+            f"(pass force_cap=True to override)"
         )
 
 

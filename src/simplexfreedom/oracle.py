@@ -26,11 +26,15 @@ of row r in a block is word i*rows + r of that block, and each row is sorted
 ascending (any correct sort gives the same bits).  That layout is the
 contract.  A block is evaluated 2^15 rows at a time, each coordinate read
 from its own stream seeked to the start of its counter run, which is only an
-order of evaluation: it changes no bit of any estimate.
+order of evaluation: it changes no bit of any estimate.  Each estimate
+allocates its sub-block workspace once (k coordinate rows, one spare row and
+the predicate's buffers); the stream writes into those rows and a sorting
+network for k wires sorts them in place.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -53,19 +57,33 @@ _DERIVE = 0xD1B54A32D192ED03
 # estimates.
 _CHUNK = 1 << 20
 # Rows per sub-block: each block is drawn, sorted and tested 2^15 rows at a
-# time so its working set (k * 256 KiB of doubles) stays in cache.  Only the
-# order of evaluation depends on it; estimates do not.
+# time so its working set ((k + 1) * 256 KiB of doubles) stays in cache.  Only
+# the order of evaluation depends on it; estimates do not.
 _SUB = 1 << 15
 
-# Optimal sorting networks (comparator index pairs) for tiny widths; wider
-# sorts fall back to numpy.
-_NETWORKS: dict[int, tuple[tuple[int, int], ...]] = {
-    1: (),
-    2: ((0, 1),),
-    3: ((0, 1), (0, 2), (1, 2)),
-    4: ((0, 1), (2, 3), (0, 2), (1, 3), (1, 2)),
-    5: ((0, 1), (2, 3), (0, 2), (1, 4), (0, 1), (2, 3), (1, 2), (3, 4), (2, 3)),
-}
+
+@functools.cache
+def _network(k: int) -> tuple[tuple[int, int], ...]:
+    """Comparators (i, j), i < j, of Batcher's merge-exchange network on k
+    wires: Knuth, TAOCP vol. 3, 5.3.4, Algorithm M.  12, 16, 19, 26, 31 and
+    37 comparators for k = 6..11.
+
+    Every k takes this one path: any correct sort gives the same bits.  The
+    comparator count grows as k (log k)^2, but two contiguous min/max passes
+    per comparator took 0.2-0.5 of the time of a strided np.sort of the same
+    (k, 2^15) sub-block for k = 6..16, and 0.5-0.8 of it up to k = 80."""
+    pairs: list[tuple[int, int]] = []
+    # 2^(t-1) for the least t with 2^t >= k
+    p = top = (1 << (k - 1).bit_length()) >> 1
+    while p:
+        q, r, d = top, 0, p
+        while True:
+            pairs += [(i, i + d) for i in range(k - d) if i & p == r]
+            if q == p:
+                break
+            d, q, r = q - p, q >> 1, p
+        p >>= 1
+    return tuple(pairs)
 
 
 def mix64(x: int) -> int:
@@ -92,21 +110,36 @@ class SplitMix64:
         """Uniform double in [0, 1) with 53 random bits."""
         return (self.next_uint64() >> 11) * 2.0**-53
 
-    def uniforms(self, n: int) -> np.ndarray:
-        """The next n doubles of the stream as one vectorized block."""
-        z = np.arange(1, n + 1, dtype=np.uint64)
-        z *= np.uint64(_GOLDEN)
-        z += np.uint64(self._state)
-        z ^= z >> np.uint64(30)
-        z *= np.uint64(_MIX1)
-        z ^= z >> np.uint64(27)
-        z *= np.uint64(_MIX2)
-        z ^= z >> np.uint64(31)
-        z >>= np.uint64(11)
-        self._state = (self._state + n * _GOLDEN) & _MASK64
-        out = z.astype(np.float64)
-        out *= 2.0**-53
+    def uniforms(self, n: int, out: np.ndarray | None = None) -> np.ndarray:
+        """The next n doubles of the stream as one vectorized block, written
+        into ``out`` (a float64 array of shape (n,)) when it is given."""
+        if out is None:
+            out = np.empty(n)
+        elif out.shape != (n,) or out.dtype != np.float64:
+            raise DomainError(f"out must be a float64 array of shape ({n},)")
+        z = out.view(np.uint64)
+        for start in range(0, n, _SUB):
+            w = z[start : start + _SUB]
+            np.add(_offsets()[: len(w)], np.uint64(self._state), out=w)
+            w ^= w >> np.uint64(30)
+            w *= np.uint64(_MIX1)
+            w ^= w >> np.uint64(27)
+            w *= np.uint64(_MIX2)
+            w ^= w >> np.uint64(31)
+            w >>= np.uint64(11)
+            # exact: w < 2^53, and the float lands on its own word
+            np.multiply(w, 2.0**-53, out=out[start : start + _SUB])
+            self._state = (self._state + len(w) * _GOLDEN) & _MASK64
         return out
+
+
+@functools.cache
+def _offsets() -> np.ndarray:
+    """Read-only counter offsets k * 0x9E3779B97F4A7C15 for k = 1..2^15."""
+    offsets = np.arange(1, _SUB + 1, dtype=np.uint64)
+    offsets *= np.uint64(_GOLDEN)
+    offsets.flags.writeable = False
+    return offsets
 
 
 def derive_worker_seed(seed: int, worker_index: int) -> int:
@@ -123,12 +156,14 @@ def derive_worker_seed(seed: int, worker_index: int) -> int:
 
 @dataclass(frozen=True)
 class MCEstimate:
-    """A Monte-Carlo volume estimate and its binomial standard error."""
+    """A Monte-Carlo volume estimate, its binomial standard error, and the
+    count of accepted samples behind it."""
 
     mean: float
     std_error: float
     samples: int
     seed: int
+    accepted: int
 
 
 def _check_samples(samples: int) -> None:
@@ -137,11 +172,19 @@ def _check_samples(samples: int) -> None:
         raise DomainError("samples must be >= 1")
 
 
-def _estimate(k: int, samples: int, seed: int, accept, factor=1.0) -> MCEstimate:
+def _estimate(k: int, samples: int, seed: int, accept_for, factor=1.0) -> MCEstimate:
     """The one rejection sampler: ``samples`` rows of k sorted uniforms in the
-    layout above, handed to ``accept`` as (k, b) sub-blocks; the accepted
-    fraction and its binomial SE are scaled by ``factor``.  Warns at the
-    estimator's caller when fewer than 100 rows are accepted."""
+    layout above.  ``accept_for(width)`` is called once per estimate and
+    returns the predicate, which takes a sub-block of at most ``width`` rows
+    as a list of its k sorted coordinate rows and returns the acceptance
+    mask.  The accepted fraction and its binomial SE are scaled by
+    ``factor``.  Warns at the estimator's caller when fewer than 100 rows
+    are accepted."""
+    width = min(_SUB, samples)
+    # the only sub-block buffers: k coordinate rows and one spare row that
+    # the comparators rotate through
+    work = np.empty((k + 1, width))
+    accept = accept_for(width)
     accepted = 0
     for done in range(0, samples, _CHUNK):
         rows = min(_CHUNK, samples - done)
@@ -152,16 +195,13 @@ def _estimate(k: int, samples: int, seed: int, accept, factor=1.0) -> MCEstimate
         ]
         for start in range(0, rows, _SUB):
             b = min(_SUB, rows - start)
-            u = np.empty((k, b))
-            for i, stream in enumerate(streams):
-                u[i] = stream.uniforms(b)
-            if k in _NETWORKS:
-                for i, j in _NETWORKS[k]:
-                    lo = np.minimum(u[i], u[j])
-                    np.maximum(u[i], u[j], out=u[j])
-                    u[i] = lo
-            else:
-                u.sort(axis=0)
+            *u, spare = work[:, :b]
+            for row, stream in zip(u, streams):
+                stream.uniforms(b, out=row)
+            for i, j in _network(k):
+                np.minimum(u[i], u[j], out=spare)
+                np.maximum(u[i], u[j], out=u[j])
+                u[i], spare = spare, u[i]
             accepted += int(np.count_nonzero(accept(u)))
     if accepted < 100:
         warnings.warn(
@@ -172,26 +212,48 @@ def _estimate(k: int, samples: int, seed: int, accept, factor=1.0) -> MCEstimate
     frac = accepted / samples
     se = factor * math.sqrt(frac * (1.0 - frac) / samples)
     return MCEstimate(
-        mean=frac * factor, std_error=se, samples=samples, seed=int(seed)
+        mean=frac * factor,
+        std_error=se,
+        samples=samples,
+        seed=int(seed),
+        accepted=accepted,
     )
 
 
-def _box_test(ne, po, scale: float):
-    """Predicate: every spacing times ``scale`` lies in [ne_i, po_i], tested
-    one coordinate at a time (no (M, rows) array of spacings)."""
-    m = len(ne)
+def _within(x, lo, hi, ok: np.ndarray, hit: np.ndarray) -> None:
+    """ok &= (x >= lo) & (x <= hi), through the scratch mask ``hit``."""
+    np.greater_equal(x, lo, out=hit)
+    ok &= hit
+    np.less_equal(x, hi, out=hit)
+    ok &= hit
 
-    def accept(u: np.ndarray) -> np.ndarray:
-        ok = np.ones(u.shape[1], dtype=bool)
-        prev: np.ndarray | float = 0.0
-        for i in range(m):
-            cut = u[i] if i < m - 1 else 1.0
-            p = cut - prev
+
+def _spacings(u: list[np.ndarray], out: np.ndarray):
+    """Yield ``out`` holding each spacing of the sorted rows ``u`` in turn:
+    u[0] - 0, u[1] - u[0], ..., 1 - u[-1]."""
+    prev: np.ndarray | float = 0.0
+    for cut in (*u, 1.0):
+        np.subtract(cut, prev, out=out)
+        yield out
+        prev = cut
+
+
+def _box_test(ne, po, scale: float, width: int):
+    """Predicate: every spacing times ``scale`` lies in [ne_i, po_i], tested
+    one coordinate at a time into buffers of ``width`` rows made once."""
+    p = np.empty(width)
+    ok = np.empty(width, dtype=bool)
+    hit = np.empty(width, dtype=bool)
+
+    def accept(u: list[np.ndarray]) -> np.ndarray:
+        b = len(u[0])
+        pb, okb, hitb = p[:b], ok[:b], hit[:b]
+        okb.fill(True)
+        for i, spacing in enumerate(_spacings(u, pb)):
             if scale != 1.0:
-                p = p * scale
-            ok &= (p >= ne[i]) & (p <= po[i])
-            prev = cut
-        return ok
+                spacing *= scale
+            _within(spacing, ne[i], po[i], okb, hitb)
+        return okb
 
     return accept
 
@@ -215,7 +277,8 @@ def mc_freedom(a: IntervalAssignment, samples: int, seed: int) -> MCEstimate:
     _check_samples(samples)
     if a.m < 2:
         raise DomainError("need at least 2 options")
-    return _estimate(a.m - 1, samples, seed, _box_test(a.ne, a.po, 1.0))
+    accept_for = functools.partial(_box_test, a.ne, a.po, 1.0)
+    return _estimate(a.m - 1, samples, seed, accept_for)
 
 
 def mc_freedom_conditional(
@@ -234,9 +297,8 @@ def mc_freedom_conditional(
     q = float(q)
     if not (0.0 < q <= 1.0):
         raise DomainError(f"q = {q!r} outside (0, 1]")
-    return _estimate(
-        a.m - 1, samples, seed, _box_test(a.ne, a.po, q), _ipow(q, a.m - 1)
-    )
+    accept_for = functools.partial(_box_test, a.ne, a.po, q)
+    return _estimate(a.m - 1, samples, seed, accept_for, _ipow(q, a.m - 1))
 
 
 @dataclass(frozen=True)

@@ -71,6 +71,15 @@ class TestFreedom:
             freedom(a)
         assert freedom(a, force_cap=True) == 1.0
 
+    def test_cap_message_names_the_option_cap(self):
+        a = validate([0.0] * 25, [1.0] * 25)
+        with pytest.raises(
+            CapExceeded,
+            match=r"^25 options exceed the closed-form cap of 24 options "
+            r"\(pass force_cap=True to override\)$",
+        ):
+            freedom(a)
+
     def test_rejects_single_option_instances(self):
         sub = IntervalAssignment(("only",), (0.0,), (1.0,))
         with pytest.raises(ValidationError):

@@ -25,6 +25,8 @@ from simplexfreedom import (
     validate,
 )
 
+from simplexfreedom.oracle import _network
+
 from conftest import assert_within_4se, random_valid_assignment
 
 MASK64 = (1 << 64) - 1
@@ -72,6 +74,24 @@ class TestSplitMix64:
         three = np.concatenate([rng.uniforms(7), rng.uniforms(1), rng.uniforms(40)])
         assert np.array_equal(three, SplitMix64(seed).uniforms(48))
 
+    @pytest.mark.parametrize("seed", [0, 42, MASK64])
+    def test_uniforms_into_a_row(self, seed):
+        for n in (1, (1 << 15) - 1, 1 << 15, (1 << 15) + 1, (1 << 16) + 3):
+            work = np.zeros((3, n))
+            row = work[1]
+            filled, alloc, scalar = SplitMix64(seed), SplitMix64(seed), SplitMix64(seed)
+            assert filled.uniforms(n, out=row) is row
+            assert np.array_equal(row, alloc.uniforms(n))
+            assert row.tolist() == [scalar.random() for _ in range(n)]
+            assert not work[0].any() and not work[2].any()
+            # equal next words: every call advanced the state by n words
+            assert filled.next_uint64() == alloc.next_uint64() == scalar.next_uint64()
+
+    def test_uniforms_rejects_a_mismatched_row(self):
+        for bad in (np.empty(5), np.empty(4, dtype=np.float32), np.empty((1, 4))):
+            with pytest.raises(DomainError):
+                SplitMix64(1).uniforms(4, out=bad)
+
     def test_unit_interval(self):
         u = SplitMix64(7).uniforms(10_000)
         assert np.all(u >= 0.0) and np.all(u < 1.0)
@@ -83,6 +103,35 @@ class TestSplitMix64:
         assert s0 == derive_worker_seed(42, 0)
         with pytest.raises(DomainError):
             derive_worker_seed(42, -1)
+
+
+def _apply(network, u: np.ndarray) -> np.ndarray:
+    u = u.copy()
+    for i, j in network:
+        lo = np.minimum(u[i], u[j])
+        np.maximum(u[i], u[j], out=u[j])
+        u[i] = lo
+    return u
+
+
+class TestNetwork:
+    def test_comparator_counts(self):
+        counts = [len(_network(k)) for k in range(1, 12)]
+        assert counts == [0, 1, 3, 5, 9, 12, 16, 19, 26, 31, 37]
+
+    @pytest.mark.parametrize("k", range(1, 17))
+    def test_sorts_every_zero_one_column(self, k):
+        # 0-1 principle: a comparator network that sorts all 2^k columns of
+        # zeros and ones sorts every column of k numbers
+        assert all(0 <= i < j < k for i, j in _network(k))
+        bits = ((np.arange(1 << k) >> np.arange(k)[:, None]) & 1).astype(float)
+        assert np.array_equal(_apply(_network(k), bits), np.sort(bits, axis=0))
+
+    def test_sorts_random_columns_up_to_31_wires(self):
+        rng = SplitMix64(31)
+        for k in range(17, 32):
+            u = rng.uniforms(k * 10_000).reshape(k, 10_000)
+            assert np.array_equal(_apply(_network(k), u), np.sort(u, axis=0))
 
 
 class TestSampleSimplex:
@@ -146,6 +195,7 @@ class TestMcFreedom:
         with pytest.warns(LowAcceptanceWarning) as caught:
             est = mc_freedom(a, 20_000, 1)
         assert est.mean * est.samples < 100
+        assert est.accepted == 1
         assert caught[0].filename == __file__
 
 
@@ -187,6 +237,22 @@ def _pinned_table(k: int, m: int) -> CrossTable:
     return CrossTable(
         validate([0.1 / k] * k, [1.5 / k] * k), validate([0.05 / m] * m, [1.6 / m] * m)
     )
+
+
+def _wide_assignment(m: int) -> IntervalAssignment:
+    # F = 0.28 at M = 10 and 0.15 at M = 12, where the pinned assignment
+    # accepts 1 of 20,000 rows
+    return validate([0.002 * i for i in range(m)], [2.5 / m + 0.01 * i for i in range(m)])
+
+
+def _pinned_estimate(kind, size, samples):
+    if kind == "plain":
+        return mc_freedom(_pinned_assignment(size), samples, size)
+    if kind == "wide":
+        return mc_freedom(_wide_assignment(size), samples, size)
+    if kind == "conditional":
+        return mc_freedom_conditional(_pinned_assignment(size), 0.7, samples, size)
+    return mc_joint_freedom(_pinned_table(*size), samples, size[0] * size[1])
 
 
 # (estimator, size, samples, mean, std_error), recorded before the three
@@ -237,24 +303,55 @@ SEAMS = [
     ("joint", (3, 4), 1_048_576, "0x1.7ab0800000000p-2", "0x1.ee571ba3bea1dp-12"),
     ("joint", (3, 4), 1_081_347, "0x1.7ab9aba02e5f0p-2", "0x1.e6cd2db5fbcc9p-12"),
 ]
+# Recorded while k >= 6 coordinates were sorted by np.sort, before every k
+# took a merge-exchange network: k = 7, 8, 9 and 11 for the joint tables and
+# k = 9 and 11 for M = 10 and 12.
+SWITCH = [
+    ("joint", (2, 4), 20_000, "0x1.5ae147ae147aep-2", "0x1.b6a63759f9192p-9"),
+    ("joint", (2, 4), 1_100_000, "0x1.5aaa3ad18d25fp-2", "0x1.d91baaadd614fp-12"),
+    ("joint", (3, 3), 20_000, "0x1.a26809d495183p-2", "0x1.c799e21571738p-9"),
+    ("joint", (3, 3), 1_100_000, "0x1.a3d18f0dfe512p-2", "0x1.ebb864b1578d8p-12"),
+    ("joint", (2, 5), 20_000, "0x1.edfa43fe5c91dp-3", "0x1.8c80f24d6a927p-9"),
+    ("joint", (2, 5), 1_100_000, "0x1.eed4155bd8e31p-3", "0x1.abf7a5dfb54e1p-12"),
+    ("joint", (2, 6), 20_000, "0x1.5c5d63886594bp-3", "0x1.5c399aad57769p-9"),
+    ("joint", (2, 6), 1_100_000, "0x1.5cd5f99c38b05p-3", "0x1.77d6c8541546ep-12"),
+    ("wide", 10, 20_000, "0x1.24dd2f1a9fbe7p-2", "0x1.a2d1d4ab743c4p-9"),
+    ("wide", 10, 1_100_000, "0x1.1f8b770f3e9bfp-2", "0x1.c14af9f45d03fp-12"),
+    ("wide", 12, 20_000, "0x1.37e90ff972474p-3", "0x1.4d04446197480p-9"),
+    ("wide", 12, 1_100_000, "0x1.2edc2fa1fc523p-3", "0x1.62e73090e5af7p-12"),
+]
 
 
 @pytest.mark.parametrize(
     "kind, size, samples, mean, std_error",
-    PINNED + SEAMS,
-    ids=[f"{c[0]}-{c[1]}" for c in PINNED] + [f"{c[0]}-{c[1]}-{c[2]}" for c in SEAMS],
+    PINNED + SEAMS + SWITCH,
+    ids=[f"{c[0]}-{c[1]}" for c in PINNED]
+    + [f"{c[0]}-{c[1]}-{c[2]}" for c in SEAMS + SWITCH],
 )
 def test_estimates_are_pinned_bit_for_bit(kind, size, samples, mean, std_error):
     # under 100 samples cannot reach 100 accepted; every other case does
     with pytest.warns(LowAcceptanceWarning) if samples < 100 else nullcontext():
-        if kind == "plain":
-            est = mc_freedom(_pinned_assignment(size), samples, size)
-        elif kind == "conditional":
-            est = mc_freedom_conditional(_pinned_assignment(size), 0.7, samples, size)
-        else:
-            est = mc_joint_freedom(_pinned_table(*size), samples, size[0] * size[1])
+        est = _pinned_estimate(kind, size, samples)
     assert est.mean.hex() == mean
     assert est.std_error.hex() == std_error
+
+
+@pytest.mark.parametrize(
+    "kind, size, samples, accepted",
+    [
+        ("plain", 2, 20_000, 10_316),
+        ("plain", 8, 1_081_347, 44_662),
+        ("conditional", 3, 1_100_000, 834_682),
+        ("joint", (3, 4), 20_000, 7_467),
+        ("plain", 5, 1, 0),
+    ],
+)
+def test_estimates_carry_their_accepted_count(kind, size, samples, accepted):
+    with pytest.warns(LowAcceptanceWarning) if accepted < 100 else nullcontext():
+        est = _pinned_estimate(kind, size, samples)
+    assert est.accepted == accepted
+    factor = 0.7 ** (size - 1) if kind == "conditional" else 1.0
+    assert est.mean == accepted / samples * factor
 
 
 def test_sampler_memory_is_bounded_by_sub_blocks():
