@@ -61,7 +61,6 @@ from .oracle import (
     MCEstimate,
     RegionPolygon,
     SplitMix64,
-    derive_worker_seed,
     mc_freedom,
     mc_freedom_conditional,
     region_polygon,
@@ -117,7 +116,6 @@ __all__ = [
     "classify",
     "classify_cell",
     "dependency",
-    "derive_worker_seed",
     "dominance_condition",
     "freedom",
     "freedom_conditional",

@@ -1,7 +1,8 @@
 """Command-line interface: file ingestion, dispatch, machine-readable reports.
 
-Commands map one-to-one onto the library: validate, measure, verify,
-subsets, sensitivity, crosstab, region.  Reports are JSON (default) or CSV
+Commands map one-to-one onto the library; ``COMMANDS`` is the one table of
+them (handler and help line).  One flat parser takes the command, the input
+and the flags in any order.  Reports are JSON (default) or CSV
 on stdout; numbers carry 12 significant digits; identical inputs and flags
 produce byte-identical output.  Exit codes: 0 success, 1 validation/domain
 error, 2 I/O or parse error, 3 usage error.
@@ -22,9 +23,6 @@ from . import crosstab as ct
 from . import measures, oracle, sensitivity
 from .core import IntervalAssignment, classify, tighten, validate
 from .errors import FreedomError, LowAcceptanceWarning, ParseError, TooManyCells
-
-COMMANDS = ("validate", "measure", "verify", "subsets", "sensitivity", "crosstab", "region")
-
 
 @dataclass
 class RunConfig:
@@ -126,7 +124,7 @@ def _load_json(data: bytes | str):
 
 
 # ---------------------------------------------------------------------------
-# command handlers: each returns (results dict, uses_rng flag)
+# command handlers: each returns its results dict
 
 
 def _cmd_validate(cfg: RunConfig, data: bytes):
@@ -141,7 +139,7 @@ def _cmd_validate(cfg: RunConfig, data: bytes):
         "tightened_ne": list(t.ne),
         "tightened_po": list(t.po),
         "classification": classify(a).value,
-    }, False
+    }
 
 
 def _cmd_measure(cfg: RunConfig, data: bytes):
@@ -159,7 +157,7 @@ def _cmd_measure(cfg: RunConfig, data: bytes):
         results["q"] = rep.q
         # unnormalized conditional freedom (volume, not sub-simplex fraction)
         results["conditional_freedom_unnormalized"] = rep.conditional_freedom
-    return results, False
+    return results
 
 
 def _cmd_verify(cfg: RunConfig, data: bytes):
@@ -174,7 +172,7 @@ def _cmd_verify(cfg: RunConfig, data: bytes):
         "std_error": est.std_error,
         "abs_diff": diff,
         "within_4se": within,
-    }, True
+    }
 
 
 def _cmd_subsets(cfg: RunConfig, data: bytes):
@@ -191,7 +189,7 @@ def _cmd_subsets(cfg: RunConfig, data: bytes):
             for e in scan.entries
         ],
         "omitted": scan.omitted,
-    }, False
+    }
 
 
 def _cmd_sensitivity(cfg: RunConfig, data: bytes):
@@ -212,7 +210,7 @@ def _cmd_sensitivity(cfg: RunConfig, data: bytes):
         "loss_from_ne": rep.loss_from_ne,
         "condition_holds": rep.condition_holds,
         "verdict": rep.verdict,
-    }, False
+    }
 
 
 def _cmd_crosstab(cfg: RunConfig, data: bytes):
@@ -278,7 +276,7 @@ def _cmd_crosstab(cfg: RunConfig, data: bytes):
                     dep_row.append(None)
             dep.append(dep_row)
         results["dependency"] = dep
-    return results, True
+    return results
 
 
 def _cmd_region(cfg: RunConfig, data: bytes):
@@ -287,17 +285,18 @@ def _cmd_region(cfg: RunConfig, data: bytes):
     return {
         "vertices": [[x, y] for x, y in poly.vertices],
         "area_fraction": poly.area_fraction,
-    }, False
+    }
 
 
-_HANDLERS = {
-    "validate": _cmd_validate,
-    "measure": _cmd_measure,
-    "verify": _cmd_verify,
-    "subsets": _cmd_subsets,
-    "sensitivity": _cmd_sensitivity,
-    "crosstab": _cmd_crosstab,
-    "region": _cmd_region,
+# the command table: name -> (handler, one-line help)
+COMMANDS = {
+    "validate": (_cmd_validate, "check an assignment file and report its tightened form"),
+    "measure": (_cmd_measure, "closed-form freedom, ambiguity, and nonspecificity"),
+    "verify": (_cmd_verify, "cross-check closed-form freedom against Monte Carlo"),
+    "subsets": (_cmd_subsets, "conditional freedom over point-conditioned subsets"),
+    "sensitivity": (_cmd_sensitivity, "possibility- vs necessity-side impact at one option"),
+    "crosstab": (_cmd_crosstab, "cell bounds, cases, and joint freedom of a cross table"),
+    "region": (_cmd_region, "feasible-region polygon for a three-option assignment"),
 }
 
 
@@ -415,19 +414,20 @@ def run(cfg: RunConfig) -> int:
         sys.stderr.write(f"cannot read {cfg.input_path}: {exc}\n")
         return 2
     try:
-        results, uses_rng = _HANDLERS[cfg.command](cfg, data)
+        results = COMMANDS[cfg.command][0](cfg, data)
     except ParseError as exc:
         _emit_error(cfg, "ParseError", str(exc))
         return 2
     except FreedomError as exc:
         _emit_error(cfg, type(exc).__name__, str(exc))
         return 1
+    sampled = cfg.command in ("verify", "crosstab")
     report = {
         "command": cfg.command,
         "input": cfg.input_path,
         "results": results,
-        "seed": cfg.seed if uses_rng else None,
-        "samples": cfg.samples if uses_rng else None,
+        "seed": cfg.seed if sampled else None,
+        "samples": cfg.samples if sampled else None,
     }
     if cfg.format == "csv":
         _emit_csv(cfg, report)
@@ -462,48 +462,30 @@ def _build_parser() -> _Parser:
         prog="simplexfreedom",
         description="Freedom/nonspecificity measures for interval probability "
         "assignments.",
+        epilog="commands:\n"
+        + "\n".join(f"  {name:<13}{text}" for name, (_, text) in COMMANDS.items()),
+        formatter_class=argparse.RawDescriptionHelpFormatter,
+        argument_default=argparse.SUPPRESS,  # the defaults are RunConfig's
     )
-    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
-    for name, help_text in (
-        ("validate", "check an assignment file and report its tightened form"),
-        ("measure", "closed-form freedom, ambiguity, and nonspecificity"),
-        ("verify", "cross-check closed-form freedom against Monte Carlo"),
-        ("subsets", "conditional freedom over point-conditioned subsets"),
-        ("sensitivity", "possibility- vs necessity-side impact at one option"),
-        ("crosstab", "cell bounds, cases, and joint freedom of a cross table"),
-        ("region", "feasible-region polygon for a three-option assignment"),
-    ):
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("input", help="path to the JSON input file")
-        p.add_argument("--samples", type=int, default=1_000_000)
-        p.add_argument("--seed", type=int, default=42)
-        p.add_argument("--q", type=float, default=None)
-        p.add_argument("--index", type=int, default=None,
-                       help="1-based option index (sensitivity)")
-        p.add_argument("--delta", type=float, default=None)
-        p.add_argument("--eps", type=float, default=None)
-        p.add_argument("--format", choices=("json", "csv"), default="json")
-        p.add_argument("--force-cap", action="store_true",
-                       help="override the closed-form option-count cap")
+    parser.add_argument("command", choices=COMMANDS, metavar="command",
+                        help="one of the commands below")
+    parser.add_argument("input_path", metavar="input", help="path to the JSON input file")
+    parser.add_argument("--samples", type=int)
+    parser.add_argument("--seed", type=int)
+    parser.add_argument("--q", type=float)
+    parser.add_argument("--index", type=int, help="1-based option index (sensitivity)")
+    parser.add_argument("--delta", type=float)
+    parser.add_argument("--eps", type=float)
+    parser.add_argument("--format", choices=("json", "csv"))
+    parser.add_argument("--force-cap", action="store_true",
+                        help="override the closed-form option-count cap")
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
-    cfg = RunConfig(
-        command=args.command,
-        input_path=args.input,
-        samples=args.samples,
-        seed=args.seed & oracle._MASK64,
-        q=args.q,
-        index=args.index,
-        delta=args.delta,
-        eps=args.eps,
-        format=args.format,
-        force_cap=args.force_cap,
-    )
+    cfg = RunConfig(**vars(_build_parser().parse_args(argv)))
+    cfg.seed %= 1 << 64
     return run(cfg)
-
 
 if __name__ == "__main__":
     sys.exit(main())

@@ -48,9 +48,6 @@ _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
-# Distinct odd increment used only for worker-seed derivation, so derived
-# seeds never collide with counters of the parent stream.
-_DERIVE = 0xD1B54A32D192ED03
 
 # Samples per internal block.  Fixed constant: the coordinate-major stream
 # layout in the module docstring depends on it, and changing it would change
@@ -140,18 +137,6 @@ def _offsets() -> np.ndarray:
     offsets *= np.uint64(_GOLDEN)
     offsets.flags.writeable = False
     return offsets
-
-
-def derive_worker_seed(seed: int, worker_index: int) -> int:
-    """Deterministic per-worker seed for partitioned sampling.
-
-    Defined as mix64(seed + (worker_index + 1) * 0xD1B54A32D192ED03).  The
-    canonical results for verification are single-worker; this derivation
-    exists so a fixed worker count also reproduces exactly.
-    """
-    if worker_index < 0:
-        raise DomainError("worker_index must be nonnegative")
-    return mix64((int(seed) + (worker_index + 1) * _DERIVE) & _MASK64)
 
 
 @dataclass(frozen=True)

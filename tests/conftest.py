@@ -4,7 +4,31 @@ from __future__ import annotations
 
 import pytest
 
-from simplexfreedom import IntervalAssignment, SplitMix64, freedom, tighten, validate
+from simplexfreedom import (
+    DomainError,
+    IntervalAssignment,
+    SplitMix64,
+    freedom,
+    tighten,
+    validate,
+)
+from simplexfreedom.oracle import _MASK64, mix64
+
+# Distinct odd increment used only for worker-seed derivation, so derived
+# seeds never collide with counters of the parent stream.
+_DERIVE = 0xD1B54A32D192ED03
+
+
+def derive_worker_seed(seed: int, worker_index: int) -> int:
+    """Deterministic per-worker seed for partitioned sampling.
+
+    Defined as mix64(seed + (worker_index + 1) * 0xD1B54A32D192ED03).  The
+    canonical results for verification are single-worker; this derivation
+    exists so a fixed worker count also reproduces exactly.
+    """
+    if worker_index < 0:
+        raise DomainError("worker_index must be nonnegative")
+    return mix64((int(seed) + (worker_index + 1) * _DERIVE) & _MASK64)
 
 
 def random_valid_assignment(rng: SplitMix64, m: int, tight: bool = False) -> IntervalAssignment:

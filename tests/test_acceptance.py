@@ -13,7 +13,6 @@ from simplexfreedom import (
     SplitMix64,
     case1_census,
     classify_cell,
-    derive_worker_seed,
     freedom,
     freedom_conditional,
     hartley_nonspecificity,
@@ -28,7 +27,11 @@ from simplexfreedom.core import TOLERANCE
 from simplexfreedom.crosstab import CASE1, CrossTable
 from simplexfreedom.sensitivity import NE_DOMINATES, PO_DOMINATES, TIE
 
-from conftest import random_assignment_with_volume, random_valid_assignment
+from conftest import (
+    derive_worker_seed,
+    random_assignment_with_volume,
+    random_valid_assignment,
+)
 from test_crosstab import grid_width
 
 BASE_SEED = 20260810

@@ -2,11 +2,20 @@
 
 from __future__ import annotations
 
+import argparse
 import json
+from pathlib import Path
 
 import pytest
 
-from simplexfreedom.cli import RunConfig, main, parse_assignment, parse_crosstable, run
+from simplexfreedom.cli import (
+    COMMANDS,
+    RunConfig,
+    main,
+    parse_assignment,
+    parse_crosstable,
+    run,
+)
 from simplexfreedom.errors import ParseError, ValidationError
 
 EX1_CASE1 = {
@@ -330,3 +339,72 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate", "x.json"])
         assert exc.value.code == 3
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["measure", "{path}", "--format", "xml"],
+            ["measure"],
+            ["verify", "{path}", "--samples", "many"],
+        ],
+        ids=["format-xml", "missing-input", "non-integer-samples"],
+    )
+    def test_main_usage_error_exit_3(self, tmp_path, capsys, argv):
+        path = write(tmp_path, "a.json", EX1_CASE1)
+        with pytest.raises(SystemExit) as exc:
+            main([arg.replace("{path}", path) for arg in argv])
+        assert exc.value.code == 3
+        assert capsys.readouterr().out == ""
+
+
+# the help line of every command, as `simplexfreedom --help` prints it
+HELP = {
+    "validate": "check an assignment file and report its tightened form",
+    "measure": "closed-form freedom, ambiguity, and nonspecificity",
+    "verify": "cross-check closed-form freedom against Monte Carlo",
+    "subsets": "conditional freedom over point-conditioned subsets",
+    "sensitivity": "possibility- vs necessity-side impact at one option",
+    "crosstab": "cell bounds, cases, and joint freedom of a cross table",
+    "region": "feasible-region polygon for a three-option assignment",
+}
+
+
+class TestCommandLine:
+    def test_help_lists_every_command_with_its_help(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert list(COMMANDS) == list(HELP)
+        for name, text in HELP.items():
+            assert any(line.split()[:1] == [name] and text in line for line in lines), name
+
+    def test_one_parser_per_call(self, tmp_path, capsys, monkeypatch):
+        path = write(tmp_path, "a.json", F3_QUARTER)
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(type(self))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        assert main(["measure", path]) == 0
+        assert len(built) == 1
+
+    def test_flags_may_precede_the_command(self, tmp_path, capsys):
+        path = write(tmp_path, "a.json", F3_QUARTER)
+        assert main(["measure", path, "--format", "csv", "--q", "0.5"]) == 0
+        after = capsys.readouterr().out
+        assert main(["--format", "csv", "measure", "--q", "0.5", path]) == 0
+        assert capsys.readouterr().out == after
+
+    def test_readme_table_lists_the_commands(self):
+        readme = Path(__file__).resolve().parents[1] / "README.md"
+        section = readme.read_text().split("\n## Command line\n", 1)[1].split("\n#", 1)[0]
+        listed = [
+            line.split("`")[1]
+            for line in section.splitlines()
+            if line.startswith("| `")
+        ]
+        assert listed == list(COMMANDS)

@@ -16,7 +16,6 @@ from simplexfreedom import (
     SplitMix64,
     WrongDimension,
     IntervalAssignment,
-    derive_worker_seed,
     freedom,
     mc_freedom,
     mc_freedom_conditional,
@@ -27,7 +26,7 @@ from simplexfreedom import (
 
 from simplexfreedom.oracle import _network
 
-from conftest import assert_within_4se, random_valid_assignment
+from conftest import assert_within_4se, derive_worker_seed, random_valid_assignment
 
 MASK64 = (1 << 64) - 1
 
@@ -96,13 +95,14 @@ class TestSplitMix64:
         u = SplitMix64(7).uniforms(10_000)
         assert np.all(u >= 0.0) and np.all(u < 1.0)
 
-    def test_worker_seed_derivation(self):
-        s0 = derive_worker_seed(42, 0)
-        s1 = derive_worker_seed(42, 1)
-        assert s0 != s1
-        assert s0 == derive_worker_seed(42, 0)
-        with pytest.raises(DomainError):
-            derive_worker_seed(42, -1)
+
+def test_worker_seed_derivation():
+    s0 = derive_worker_seed(42, 0)
+    s1 = derive_worker_seed(42, 1)
+    assert s0 != s1
+    assert s0 == derive_worker_seed(42, 0)
+    with pytest.raises(DomainError):
+        derive_worker_seed(42, -1)
 
 
 def _apply(network, u: np.ndarray) -> np.ndarray:
