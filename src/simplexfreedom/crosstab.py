@@ -18,8 +18,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .core import TOLERANCE, IntervalAssignment
 from .errors import (
     DegenerateCell,
@@ -286,7 +284,7 @@ def mc_joint_freedom(t: CrossTable, samples: int, seed: int) -> MCEstimate:
     rounding alone.  Raises TooManyCells beyond 12 cells and warns when
     fewer than 100 samples are accepted.
     """
-    oracle._check_samples(samples)
+    samples = oracle._check_samples(samples)
     k, m = t.shape
     cells = k * m
     if cells > CELL_CAP:
@@ -295,6 +293,8 @@ def mc_joint_freedom(t: CrossTable, samples: int, seed: int) -> MCEstimate:
         )
     if cells < 2:
         raise DomainError("need at least 2 cells")
+    import numpy as np
+
     row_ne = np.array(t.row_marginals.ne) - 1e-12
     row_po = np.array(t.row_marginals.po) + 1e-12
     col_ne = np.array(t.col_marginals.ne) - 1e-12

@@ -30,19 +30,28 @@ order of evaluation: it changes no bit of any estimate.  Each estimate
 allocates its sub-block workspace once (k coordinate rows, one spare row and
 the predicate's buffers); the stream writes into those rows and a sorting
 network for k wires sorts them in place.
+
+numpy is imported only inside the functions that build or touch arrays, so
+importing the package does not load it.  It loads on the first sampling
+call: ``SplitMix64.uniforms``, the ``mc_*`` estimators, and so the
+``verify`` and ``crosstab`` commands.  The scalar stream, ``region_polygon``
+and the other five commands never load it.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import operator
 import warnings
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .core import IntervalAssignment
 from .errors import DomainError, LowAcceptanceWarning, WrongDimension
+
+if TYPE_CHECKING:
+    import numpy as np
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -97,7 +106,7 @@ class SplitMix64:
     __slots__ = ("_state",)
 
     def __init__(self, seed: int):
-        self._state = int(seed) & _MASK64
+        self._state = _integer(seed, "seed") & _MASK64
 
     def next_uint64(self) -> int:
         self._state = (self._state + _GOLDEN) & _MASK64
@@ -109,11 +118,19 @@ class SplitMix64:
 
     def uniforms(self, n: int, out: np.ndarray | None = None) -> np.ndarray:
         """The next n doubles of the stream as one vectorized block, written
-        into ``out`` (a float64 array of shape (n,)) when it is given."""
+        into ``out`` (a writeable float64 array of shape (n,)) when it is
+        given."""
+        import numpy as np
+
+        n = _integer(n, "n")
+        if n < 0:
+            raise DomainError(f"n = {n} must be >= 0")
         if out is None:
             out = np.empty(n)
         elif out.shape != (n,) or out.dtype != np.float64:
             raise DomainError(f"out must be a float64 array of shape ({n},)")
+        elif not out.flags.writeable:
+            raise DomainError("out must be writeable")
         z = out.view(np.uint64)
         for start in range(0, n, _SUB):
             w = z[start : start + _SUB]
@@ -133,6 +150,8 @@ class SplitMix64:
 @functools.cache
 def _offsets() -> np.ndarray:
     """Read-only counter offsets k * 0x9E3779B97F4A7C15 for k = 1..2^15."""
+    import numpy as np
+
     offsets = np.arange(1, _SUB + 1, dtype=np.uint64)
     offsets *= np.uint64(_GOLDEN)
     offsets.flags.writeable = False
@@ -151,10 +170,22 @@ class MCEstimate:
     accepted: int
 
 
-def _check_samples(samples: int) -> None:
-    """Every estimator checks its sample count before its other arguments."""
+def _integer(value, name: str) -> int:
+    """``value`` as an int: Python and numpy integers pass, a float or a
+    string is a DomainError rather than a silent truncation."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise DomainError(f"{name} must be an integer, got {value!r}") from None
+
+
+def _check_samples(samples: int) -> int:
+    """Every estimator checks its sample count before its other arguments,
+    and goes on with the int this returns."""
+    samples = _integer(samples, "samples")
     if samples < 1:
         raise DomainError("samples must be >= 1")
+    return samples
 
 
 def _estimate(k: int, samples: int, seed: int, accept_for, factor=1.0) -> MCEstimate:
@@ -165,6 +196,9 @@ def _estimate(k: int, samples: int, seed: int, accept_for, factor=1.0) -> MCEsti
     mask.  The accepted fraction and its binomial SE are scaled by
     ``factor``.  Warns at the estimator's caller when fewer than 100 rows
     are accepted."""
+    seed = _integer(seed, "seed")
+    import numpy as np
+
     width = min(_SUB, samples)
     # the only sub-block buffers: k coordinate rows and one spare row that
     # the comparators rotate through
@@ -176,7 +210,7 @@ def _estimate(k: int, samples: int, seed: int, accept_for, factor=1.0) -> MCEsti
         # coordinate i of this block is the counter run starting at word
         # done*k + i*rows; one stream each, walked a sub-block at a time
         streams = [
-            SplitMix64(int(seed) + (done * k + i * rows) * _GOLDEN) for i in range(k)
+            SplitMix64(seed + (done * k + i * rows) * _GOLDEN) for i in range(k)
         ]
         for start in range(0, rows, _SUB):
             b = min(_SUB, rows - start)
@@ -200,13 +234,15 @@ def _estimate(k: int, samples: int, seed: int, accept_for, factor=1.0) -> MCEsti
         mean=frac * factor,
         std_error=se,
         samples=samples,
-        seed=int(seed),
+        seed=seed,
         accepted=accepted,
     )
 
 
 def _within(x, lo, hi, ok: np.ndarray, hit: np.ndarray) -> None:
     """ok &= (x >= lo) & (x <= hi), through the scratch mask ``hit``."""
+    import numpy as np
+
     np.greater_equal(x, lo, out=hit)
     ok &= hit
     np.less_equal(x, hi, out=hit)
@@ -216,6 +252,8 @@ def _within(x, lo, hi, ok: np.ndarray, hit: np.ndarray) -> None:
 def _spacings(u: list[np.ndarray], out: np.ndarray):
     """Yield ``out`` holding each spacing of the sorted rows ``u`` in turn:
     u[0] - 0, u[1] - u[0], ..., 1 - u[-1]."""
+    import numpy as np
+
     prev: np.ndarray | float = 0.0
     for cut in (*u, 1.0):
         np.subtract(cut, prev, out=out)
@@ -226,6 +264,8 @@ def _spacings(u: list[np.ndarray], out: np.ndarray):
 def _box_test(ne, po, scale: float, width: int):
     """Predicate: every spacing times ``scale`` lies in [ne_i, po_i], tested
     one coordinate at a time into buffers of ``width`` rows made once."""
+    import numpy as np
+
     p = np.empty(width)
     ok = np.empty(width, dtype=bool)
     hit = np.empty(width, dtype=bool)
@@ -259,7 +299,7 @@ def mc_freedom(a: IntervalAssignment, samples: int, seed: int) -> MCEstimate:
     estimate is a pure function of (assignment, samples, seed).  Warns with
     LowAcceptanceWarning when fewer than 100 samples are accepted.
     """
-    _check_samples(samples)
+    samples = _check_samples(samples)
     if a.m < 2:
         raise DomainError("need at least 2 options")
     accept_for = functools.partial(_box_test, a.ne, a.po, 1.0)
@@ -276,7 +316,7 @@ def mc_freedom_conditional(
     mean matches the closed form.  The standard error is the binomial error
     of the acceptance fraction scaled by the same factor.
     """
-    _check_samples(samples)
+    samples = _check_samples(samples)
     if a.m < 2:
         raise DomainError("need at least 2 options")
     q = float(q)

@@ -4,6 +4,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -408,3 +411,58 @@ class TestCommandLine:
             if line.startswith("| `")
         ]
         assert listed == list(COMMANDS)
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+# one CLI call in a fresh interpreter; the last stderr line says whether
+# numpy was loaded by the time the command had run
+CHILD = (
+    "import sys\n"
+    "from simplexfreedom.cli import main\n"
+    "code = main(sys.argv[1:])\n"
+    "print('numpy' in sys.modules, file=sys.stderr)\n"
+    "sys.exit(code)\n"
+)
+
+
+def fresh_interpreter(*args: str) -> subprocess.CompletedProcess:
+    return subprocess.run(
+        [sys.executable, *args],
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+
+
+class TestNumpyFreeStart:
+    """The closed-form commands start and run without loading numpy; the
+    sampling commands load it on their first draw."""
+
+    def test_package_import_leaves_numpy_unloaded(self):
+        proc = fresh_interpreter(
+            "-c", "import sys, simplexfreedom; print('numpy' in sys.modules)"
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "False\n"
+
+    @pytest.mark.parametrize(
+        "argv, loads_numpy",
+        [
+            (["validate"], False),
+            (["measure", "--q", "0.9"], False),
+            (["subsets"], False),
+            (["sensitivity", "--index", "1"], False),
+            (["region"], False),
+            (["verify", "--samples", "1000"], True),
+        ],
+        ids=lambda v: v[0] if isinstance(v, list) else None,
+    )
+    def test_cold_call_matches_in_process(self, tmp_path, capsys, argv, loads_numpy):
+        path = write(tmp_path, "a.json", F3_QUARTER)
+        argv = [argv[0], path, *argv[1:]]
+        proc = fresh_interpreter("-c", CHILD, *argv)
+        assert proc.stderr.splitlines()[-1] == str(loads_numpy), proc.stderr
+        code = main(argv)
+        assert (proc.returncode, proc.stdout) == (code, capsys.readouterr().out)

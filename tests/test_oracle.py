@@ -91,6 +91,24 @@ class TestSplitMix64:
             with pytest.raises(DomainError):
                 SplitMix64(1).uniforms(4, out=bad)
 
+    def test_seed_must_be_an_integer(self):
+        with pytest.raises(DomainError, match="seed"):
+            SplitMix64(1.7)
+        assert SplitMix64(np.uint64(MASK64)).next_uint64() == SplitMix64(-1).next_uint64()
+
+    def test_uniforms_rejects_a_bad_count(self):
+        for n in (-1, 2.5, "4"):
+            with pytest.raises(DomainError, match="^n "):
+                SplitMix64(1).uniforms(n)
+        assert np.array_equal(SplitMix64(1).uniforms(np.int64(3)), SplitMix64(1).uniforms(3))
+
+    def test_uniforms_rejects_a_read_only_row(self):
+        row = np.zeros(4)
+        row.flags.writeable = False
+        with pytest.raises(DomainError, match="writeable"):
+            SplitMix64(1).uniforms(4, out=row)
+        assert not row.any()
+
     def test_unit_interval(self):
         u = SplitMix64(7).uniforms(10_000)
         assert np.all(u >= 0.0) and np.all(u < 1.0)
@@ -185,6 +203,34 @@ class TestMcFreedom:
     def test_sample_count_domain(self):
         with pytest.raises(DomainError):
             mc_freedom(validate([0, 0], [1, 1]), 0, 1)
+
+    @pytest.mark.parametrize("samples", [10.5, 1000.0, "1000", None])
+    def test_non_integral_sample_count(self, samples):
+        a = validate([0.6, 0.2], [0.8, 0.4])
+        for estimate in (
+            lambda: mc_freedom(a, samples, 1),
+            lambda: mc_freedom_conditional(a, 0.9, samples, 1),
+            lambda: mc_joint_freedom(CrossTable(a, a), samples, 1),
+        ):
+            with pytest.raises(DomainError, match="samples must be an integer"):
+                estimate()
+
+    @pytest.mark.parametrize("seed", [1.7, 1.0, "1"])
+    def test_non_integral_seed(self, seed):
+        a = validate([0.6, 0.2], [0.8, 0.4])
+        for estimate in (
+            lambda: mc_freedom(a, 1000, seed),
+            lambda: mc_freedom_conditional(a, 0.9, 1000, seed),
+            lambda: mc_joint_freedom(CrossTable(a, a), 1000, seed),
+        ):
+            with pytest.raises(DomainError, match="seed must be an integer"):
+                estimate()
+
+    def test_numpy_integers_pass_as_ints(self):
+        a = validate([0.6, 0.2], [0.8, 0.4])
+        est = mc_freedom(a, np.int64(20_000), np.uint64(2**64 - 1))
+        assert est == mc_freedom(a, 20_000, 2**64 - 1)
+        assert type(est.samples) is int and type(est.seed) is int
 
     def test_metadata(self):
         est = mc_freedom(validate([0, 0], [1, 1]), 1234, 5678)
