@@ -295,18 +295,21 @@ def mc_joint_freedom(t: CrossTable, samples: int, seed: int) -> MCEstimate:
         raise DomainError("need at least 2 cells")
     import numpy as np
 
-    row_ne = np.array(t.row_marginals.ne) - 1e-12
-    row_po = np.array(t.row_marginals.po) + 1e-12
-    col_ne = np.array(t.col_marginals.ne) - 1e-12
-    col_po = np.array(t.col_marginals.po) + 1e-12
+    # the integer cuts of the row margins, then of the column margins
+    cuts = [
+        oracle._cuts(ne - 1e-12, po + 1e-12)
+        for margins in (t.row_marginals, t.col_marginals)
+        for ne, po in zip(margins.ne, margins.po)
+    ]
 
     def accept_for(width: int):
         # table cell (i, j) is spacing i*m + j; its row and column sums add
-        # the spacings one at a time, the order numpy reduces a non-innermost
-        # axis in, into buffers made once per estimate
-        p = np.empty(width)
-        row_sums = np.empty((k, width))
-        col_sums = np.empty((m, width))
+        # the integer spacings into buffers made once per estimate.  They are
+        # 2^53 times the sums of the doubles, which are exact: every partial
+        # sum is a multiple of 2^-53 in [0, 1]
+        p = np.empty(width, dtype=np.uint64)
+        row_sums = np.empty((k, width), dtype=np.uint64)
+        col_sums = np.empty((m, width), dtype=np.uint64)
         ok = np.empty(width, dtype=bool)
         hit = np.empty(width, dtype=bool)
 
@@ -325,10 +328,8 @@ def mc_joint_freedom(t: CrossTable, samples: int, seed: int) -> MCEstimate:
                     cols[j] = spacing
             okb, hitb = ok[:b], hit[:b]
             okb.fill(True)
-            for i in range(k):
-                oracle._within(rows[i], row_ne[i], row_po[i], okb, hitb)
-            for j in range(m):
-                oracle._within(cols[j], col_ne[j], col_po[j], okb, hitb)
+            for sums, cut in zip((*rows, *cols), cuts):
+                oracle._within(sums, cut, okb, hitb)
             return okb
 
         return accept

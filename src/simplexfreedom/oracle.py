@@ -31,6 +31,18 @@ allocates its sub-block workspace once (k coordinate rows, one spare row and
 the predicate's buffers); the stream writes into those rows and a sorting
 network for k wires sorts them in place.
 
+The contract above is stated in doubles, and a float implementation of it
+gets the same bits as this one, which evaluates it in the 53-bit integers
+x = output >> 11 behind the uniforms x * 2^-53.  Every uniform is an exact
+multiple of 2^-53 in [0, 1), so every spacing u[0], u[j] - u[j-1] and
+1 - u[-1] is exact in floating point, and so is every row or column sum of
+joint-table spacings, because it is at most 1.  Each tested double is
+therefore exactly s * 2^-53 for an integer s in [0, 2^53] (times q for the
+conditional form, rounded once), a nondecreasing function of s, so each
+acceptance test holds exactly on a run lo <= s <= hi of integers.  The
+sampler sorts, spaces and sums the integers and compares them with those
+cuts, found once per estimate from the float test as written.
+
 numpy is imported only inside the functions that build or touch arrays, so
 importing the package does not load it.  It loads on the first sampling
 call: ``SplitMix64.uniforms``, the ``mc_*`` estimators, and so the
@@ -62,9 +74,12 @@ _MIX2 = 0x94D049BB133111EB
 # layout in the module docstring depends on it, and changing it would change
 # estimates.
 _CHUNK = 1 << 20
+# The kernel works on the 53-bit integers x = output >> 11 behind the
+# uniforms x * 2^-53; 1.0 is this integer.
+_ONE = 1 << 53
 # Rows per sub-block: each block is drawn, sorted and tested 2^15 rows at a
-# time so its working set ((k + 1) * 256 KiB of doubles) stays in cache.  Only
-# the order of evaluation depends on it; estimates do not.
+# time so its working set ((k + 1) * 256 KiB of 64-bit words) stays in cache.
+# Only the order of evaluation depends on it; estimates do not.
 _SUB = 1 << 15
 
 
@@ -117,9 +132,11 @@ class SplitMix64:
         return (self.next_uint64() >> 11) * 2.0**-53
 
     def uniforms(self, n: int, out: np.ndarray | None = None) -> np.ndarray:
-        """The next n doubles of the stream as one vectorized block, written
-        into ``out`` (a writeable float64 array of shape (n,)) when it is
-        given."""
+        """The next n draws of the stream as one vectorized block, written
+        into ``out`` (a writeable array of shape (n,)) when it is given.  A
+        float64 row, and the row made when ``out`` is None, receives the
+        doubles (output >> 11) * 2^-53; a uint64 row receives the 53-bit
+        integers output >> 11 themselves, which the sampler works on."""
         import numpy as np
 
         n = _integer(n, "n")
@@ -127,10 +144,11 @@ class SplitMix64:
             raise DomainError(f"n = {n} must be >= 0")
         if out is None:
             out = np.empty(n)
-        elif out.shape != (n,) or out.dtype != np.float64:
-            raise DomainError(f"out must be a float64 array of shape ({n},)")
+        elif out.shape != (n,) or out.dtype not in (np.float64, np.uint64):
+            raise DomainError(f"out must be a float64 or uint64 array of shape ({n},)")
         elif not out.flags.writeable:
             raise DomainError("out must be writeable")
+        doubles = out.dtype == np.float64
         z = out.view(np.uint64)
         for start in range(0, n, _SUB):
             w = z[start : start + _SUB]
@@ -141,8 +159,9 @@ class SplitMix64:
             w *= np.uint64(_MIX2)
             w ^= w >> np.uint64(31)
             w >>= np.uint64(11)
-            # exact: w < 2^53, and the float lands on its own word
-            np.multiply(w, 2.0**-53, out=out[start : start + _SUB])
+            if doubles:
+                # exact: w < 2^53, and the float lands on its own word
+                np.multiply(w, 2.0**-53, out=out[start : start + _SUB])
             self._state = (self._state + len(w) * _GOLDEN) & _MASK64
         return out
 
@@ -166,7 +185,7 @@ class MCEstimate:
     mean: float
     std_error: float
     samples: int
-    seed: int
+    seed: int  # reduced mod 2^64, as the stream uses it
     accepted: int
 
 
@@ -192,17 +211,17 @@ def _estimate(k: int, samples: int, seed: int, accept_for, factor=1.0) -> MCEsti
     """The one rejection sampler: ``samples`` rows of k sorted uniforms in the
     layout above.  ``accept_for(width)`` is called once per estimate and
     returns the predicate, which takes a sub-block of at most ``width`` rows
-    as a list of its k sorted coordinate rows and returns the acceptance
-    mask.  The accepted fraction and its binomial SE are scaled by
-    ``factor``.  Warns at the estimator's caller when fewer than 100 rows
-    are accepted."""
-    seed = _integer(seed, "seed")
+    as a list of its k sorted coordinate rows (uint64 integers x standing for
+    the uniforms x * 2^-53) and returns the acceptance mask.  The accepted
+    fraction and its binomial SE are scaled by ``factor``.  Warns at the
+    estimator's caller when fewer than 100 rows are accepted."""
+    seed = _integer(seed, "seed") & _MASK64
     import numpy as np
 
     width = min(_SUB, samples)
     # the only sub-block buffers: k coordinate rows and one spare row that
     # the comparators rotate through
-    work = np.empty((k + 1, width))
+    work = np.empty((k + 1, width), dtype=np.uint64)
     accept = accept_for(width)
     accepted = 0
     for done in range(0, samples, _CHUNK):
@@ -239,45 +258,77 @@ def _estimate(k: int, samples: int, seed: int, accept_for, factor=1.0) -> MCEsti
     )
 
 
-def _within(x, lo, hi, ok: np.ndarray, hit: np.ndarray) -> None:
-    """ok &= (x >= lo) & (x <= hi), through the scratch mask ``hit``."""
+def _cuts(ne: float, po: float, scale: float = 1.0) -> tuple[int, int]:
+    """Integer cuts (lo, hi): an integer s in [0, 2^53] passes the float
+    test ne <= (s * 2^-53) * scale <= po exactly when lo <= s <= hi.
+
+    s * 2^-53 is exact and rounding is monotone, so the tested double is
+    nondecreasing in s and each side of the test holds on a run of s;
+    bisection finds where each run ends.  No s passing gives (1, 0)."""
+
+    def first(passes) -> int:
+        # least s in [0, 2^53 + 1] with passes(s), for passes monotone in s;
+        # s never exceeds 2^53, so float(s) is exact
+        lo, hi = 0, _ONE + 1
+        while lo < hi:
+            mid = (lo + hi) >> 1
+            if passes(mid):
+                hi = mid
+            else:
+                lo = mid + 1
+        return lo
+
+    lo = first(lambda s: s * 2.0**-53 * scale >= ne)
+    hi = first(lambda s: not s * 2.0**-53 * scale <= po) - 1
+    return (lo, hi) if lo <= hi else (1, 0)
+
+
+def _within(x, cut: tuple[int, int], ok: np.ndarray, hit: np.ndarray) -> None:
+    """ok &= lo <= x <= hi for the integers ``x`` in [0, 2^53] and a cut from
+    ``_cuts``, through the scratch mask ``hit``; a side every x passes is
+    skipped."""
     import numpy as np
 
-    np.greater_equal(x, lo, out=hit)
-    ok &= hit
-    np.less_equal(x, hi, out=hit)
-    ok &= hit
+    lo, hi = cut
+    if lo > 0:
+        np.greater_equal(x, np.uint64(lo), out=hit)
+        ok &= hit
+    if hi < _ONE:
+        np.less_equal(x, np.uint64(hi), out=hit)
+        ok &= hit
 
 
 def _spacings(u: list[np.ndarray], out: np.ndarray):
-    """Yield ``out`` holding each spacing of the sorted rows ``u`` in turn:
-    u[0] - 0, u[1] - u[0], ..., 1 - u[-1]."""
+    """Yield each integer spacing of the sorted rows ``u`` in turn: u[0],
+    then ``out`` holding u[1] - u[0], ..., 2^53 - u[-1].  Each is exactly
+    2^53 times the spacing of the doubles."""
     import numpy as np
 
-    prev: np.ndarray | float = 0.0
-    for cut in (*u, 1.0):
-        np.subtract(cut, prev, out=out)
+    yield u[0]
+    for lower, upper in zip(u, u[1:]):
+        np.subtract(upper, lower, out=out)
         yield out
-        prev = cut
+    np.subtract(np.uint64(_ONE), u[-1], out=out)
+    yield out
 
 
 def _box_test(ne, po, scale: float, width: int):
     """Predicate: every spacing times ``scale`` lies in [ne_i, po_i], tested
-    one coordinate at a time into buffers of ``width`` rows made once."""
+    one coordinate at a time on integer cuts into buffers of ``width`` rows
+    made once."""
     import numpy as np
 
-    p = np.empty(width)
+    cuts = [_cuts(*bounds, scale) for bounds in zip(ne, po)]
+    p = np.empty(width, dtype=np.uint64)
     ok = np.empty(width, dtype=bool)
     hit = np.empty(width, dtype=bool)
 
     def accept(u: list[np.ndarray]) -> np.ndarray:
         b = len(u[0])
-        pb, okb, hitb = p[:b], ok[:b], hit[:b]
+        okb, hitb = ok[:b], hit[:b]
         okb.fill(True)
-        for i, spacing in enumerate(_spacings(u, pb)):
-            if scale != 1.0:
-                spacing *= scale
-            _within(spacing, ne[i], po[i], okb, hitb)
+        for cut, spacing in zip(cuts, _spacings(u, p[:b])):
+            _within(spacing, cut, okb, hitb)
         return okb
 
     return accept

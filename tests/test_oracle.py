@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import tracemalloc
+import warnings
 from contextlib import nullcontext
 
 import numpy as np
@@ -24,7 +25,7 @@ from simplexfreedom import (
     validate,
 )
 
-from simplexfreedom.oracle import _network
+from simplexfreedom.oracle import _cuts, _network
 
 from conftest import assert_within_4se, derive_worker_seed, random_valid_assignment
 
@@ -85,6 +86,19 @@ class TestSplitMix64:
             assert not work[0].any() and not work[2].any()
             # equal next words: every call advanced the state by n words
             assert filled.next_uint64() == alloc.next_uint64() == scalar.next_uint64()
+
+    @pytest.mark.parametrize("seed", [0, 42, MASK64])
+    def test_uniforms_into_an_integer_row(self, seed):
+        for n in (1, (1 << 15) - 1, 1 << 15, (1 << 15) + 1):
+            row = np.zeros(n, dtype=np.uint64)
+            ints, floats, scalar = SplitMix64(seed), SplitMix64(seed), SplitMix64(seed)
+            assert ints.uniforms(n, out=row) is row
+            assert np.array_equal(row, (floats.uniforms(n) * 2.0**53).astype(np.uint64))
+            assert row.tolist() == [scalar.next_uint64() >> 11 for _ in range(n)]
+            assert ints.next_uint64() == floats.next_uint64() == scalar.next_uint64()
+        for bad in (np.empty(4, dtype=np.int64), np.empty(4, dtype=np.float32)):
+            with pytest.raises(DomainError):
+                SplitMix64(1).uniforms(4, out=bad)
 
     def test_uniforms_rejects_a_mismatched_row(self):
         for bad in (np.empty(5), np.empty(4, dtype=np.float32), np.empty((1, 4))):
@@ -150,6 +164,93 @@ class TestNetwork:
         for k in range(17, 32):
             u = rng.uniforms(k * 10_000).reshape(k, 10_000)
             assert np.array_equal(_apply(_network(k), u), np.sort(u, axis=0))
+
+
+ONE = 1 << 53
+
+
+class TestIntegerCuts:
+    """``_cuts`` turns each float acceptance test of a spacing s * 2^-53
+    into integer cuts lo <= s <= hi that decide every s in [0, 2^53] alike."""
+
+    @staticmethod
+    def check(ne, po, q):
+        lo, hi = _cuts(ne, po, q)
+        assert 0 <= lo <= ONE + 1 and 0 <= hi <= ONE
+        for s in {lo - 1, lo, hi, hi + 1, 0, ONE}:
+            if 0 <= s <= ONE:
+                assert (lo <= s <= hi) == (ne <= s * 2.0**-53 * q <= po), (ne, po, q, s)
+        return lo, hi
+
+    def test_seeded_bounds_and_masses(self):
+        rng = SplitMix64(53)
+        for _ in range(1000):
+            ne, po = rng.random(), rng.random()
+            self.check(ne, po, 1.0 - rng.random())
+            self.check(min(ne, po), max(ne, po), 1.0 - rng.random())
+            self.check(ne - 1e-12, po + 1e-12, 1.0)
+
+    @pytest.mark.parametrize("q", [1.0, 0.7, 1 / 3, 0.1, 2.0**-60])
+    def test_edges(self, q):
+        assert self.check(0.0, 1.0, q) == (0, ONE)
+        assert self.check(-1e-12, 1.0 + 1e-12, q) == (0, ONE)
+        self.check(0.25, 0.25, q)
+        for empty in ((0.6, 0.4), (-0.5, -1e-12), (q * 1.5, 1.0)):
+            lo, hi = self.check(*empty, q)
+            assert lo > hi
+
+    def test_points(self):
+        assert self.check(0.25, 0.25, 1.0) == (ONE >> 2, ONE >> 2)
+        # 0.3 is no multiple of 2^-53
+        lo, hi = self.check(0.3, 0.3, 1.0)
+        assert lo > hi
+
+
+def _random_box(rng: SplitMix64, m: int, q: float = 1.0) -> IntervalAssignment:
+    """Bounds at mass q that accept a tenth or more of the rows up to M = 8."""
+    ne = tuple(q * 0.3 * rng.random() / m for _ in range(m))
+    po = tuple(q * min(1.0, (1.2 + 1.5 * rng.random()) / m) for _ in range(m))
+    return IntervalAssignment(tuple(f"o{i}" for i in range(m)), ne, po)
+
+
+def _contract_accepted(k, samples, seed, accept) -> int:
+    """Accepted rows of one block as the contract states it in doubles:
+    coordinate-major uniforms, each row sorted, spacings against 0 and 1."""
+    u = np.sort(SplitMix64(seed).uniforms(k * samples).reshape(k, samples), axis=0)
+    return int(np.count_nonzero(accept(np.diff(u, axis=0, prepend=0.0, append=1.0))))
+
+
+class TestIntegerKernel:
+    """The integer kernel accepts exactly the rows the double contract does."""
+
+    @pytest.mark.parametrize("q", [1.0, 0.7, 1 / 3, 0.1])
+    def test_box_test(self, rng, q):
+        for m in (2, 3, 5, 8):
+            a = _random_box(rng, m, q)
+            ne, po = np.array(a.ne)[:, None], np.array(a.po)[:, None]
+            want = _contract_accepted(
+                m - 1, 4000, m, lambda p: ((ne <= p * q) & (p * q <= po)).all(axis=0)
+            )
+            assert want >= 100
+            assert mc_freedom_conditional(a, q, 4000, m).accepted == want
+
+    def test_joint_margins(self, rng):
+        for k, m in ((2, 2), (2, 3), (3, 3), (3, 4)):
+            t = CrossTable(_random_box(rng, k), _random_box(rng, m))
+
+            def accept(p):
+                ok = np.ones(p.shape[1], dtype=bool)
+                cells = p.reshape(k, m, -1)
+                for sums, margins in ((cells.sum(axis=1), t.row_marginals),
+                                      (cells.sum(axis=0), t.col_marginals)):
+                    ne = np.array(margins.ne)[:, None] - 1e-12
+                    po = np.array(margins.po)[:, None] + 1e-12
+                    ok &= ((ne <= sums) & (sums <= po)).all(axis=0)
+                return ok
+
+            want = _contract_accepted(k * m - 1, 4000, k * m, accept)
+            assert want >= 100
+            assert mc_joint_freedom(t, 4000, k * m).accepted == want
 
 
 class TestSampleSimplex:
@@ -232,6 +333,19 @@ class TestMcFreedom:
         assert est == mc_freedom(a, 20_000, 2**64 - 1)
         assert type(est.samples) is int and type(est.seed) is int
 
+    @pytest.mark.parametrize("seed", [-1, 2**64 + 5, 2**70])
+    def test_seed_is_reported_modulo_2_64(self, seed):
+        # the streams run on seed mod 2^64, so equal streams report equal seeds
+        a = validate([0.6, 0.2], [0.8, 0.4])
+        for estimate in (
+            lambda s: mc_freedom(a, 20_000, s),
+            lambda s: mc_freedom_conditional(a, 0.9, 20_000, s),
+            lambda s: mc_joint_freedom(CrossTable(a, a), 20_000, s),
+        ):
+            est = estimate(seed)
+            assert est.seed == seed & MASK64
+            assert est == estimate(seed & MASK64)
+
     def test_metadata(self):
         est = mc_freedom(validate([0, 0], [1, 1]), 1234, 5678)
         assert est.samples == 1234 and est.seed == 5678
@@ -291,13 +405,17 @@ def _wide_assignment(m: int) -> IntervalAssignment:
     return validate([0.002 * i for i in range(m)], [2.5 / m + 0.01 * i for i in range(m)])
 
 
+# the mass q of each conditional kind
+_Q = {"conditional": 0.7, "q=0.1": 0.1, "q=1/3": 1 / 3}
+
+
 def _pinned_estimate(kind, size, samples):
     if kind == "plain":
         return mc_freedom(_pinned_assignment(size), samples, size)
     if kind == "wide":
         return mc_freedom(_wide_assignment(size), samples, size)
-    if kind == "conditional":
-        return mc_freedom_conditional(_pinned_assignment(size), 0.7, samples, size)
+    if kind in _Q:
+        return mc_freedom_conditional(_pinned_assignment(size), _Q[kind], samples, size)
     return mc_joint_freedom(_pinned_table(*size), samples, size[0] * size[1])
 
 
@@ -366,18 +484,34 @@ SWITCH = [
     ("wide", 12, 20_000, "0x1.37e90ff972474p-3", "0x1.4d04446197480p-9"),
     ("wide", 12, 1_100_000, "0x1.2edc2fa1fc523p-3", "0x1.62e73090e5af7p-12"),
 ]
+# Recorded while the kernel tested doubles, before it tested 53-bit integers:
+# masses where (s * 2^-53) * q rounds.  At M = 7 and q = 0.1 the necessities
+# sum past q, so no row is accepted.
+SCALED = [
+    ("q=0.1", 3, 20_000, "0x1.46994185058dfp-8", "0x1.2894995dbd001p-15"),
+    ("q=0.1", 3, 1_100_000, "0x1.41231a902fdbbp-8", "0x1.3fdd7bfe5899bp-18"),
+    ("q=0.1", 7, 20_000, "0x0.0p+0", "0x0.0p+0"),
+    ("q=0.1", 7, 1_100_000, "0x0.0p+0", "0x0.0p+0"),
+    ("q=1/3", 3, 20_000, "0x1.77e0530323e88p-4", "0x1.3865631812226p-12"),
+    ("q=1/3", 3, 1_100_000, "0x1.78c76f4577a31p-4", "0x1.4f76f41c13e48p-15"),
+    ("q=1/3", 7, 20_000, "0x1.0f90bb8e23068p-18", "0x1.1a6bbfc69a9a6p-21"),
+    ("q=1/3", 7, 1_100_000, "0x1.d8d557ea7692fp-19", "0x1.1c4f154424e5ep-24"),
+]
 
 
 @pytest.mark.parametrize(
     "kind, size, samples, mean, std_error",
-    PINNED + SEAMS + SWITCH,
+    PINNED + SEAMS + SWITCH + SCALED,
     ids=[f"{c[0]}-{c[1]}" for c in PINNED]
-    + [f"{c[0]}-{c[1]}-{c[2]}" for c in SEAMS + SWITCH],
+    + [f"{c[0]}-{c[1]}-{c[2]}" for c in SEAMS + SWITCH + SCALED],
 )
 def test_estimates_are_pinned_bit_for_bit(kind, size, samples, mean, std_error):
-    # under 100 samples cannot reach 100 accepted; every other case does
-    with pytest.warns(LowAcceptanceWarning) if samples < 100 else nullcontext():
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         est = _pinned_estimate(kind, size, samples)
+    # the warning fires exactly when fewer than 100 rows are accepted
+    warned = any(w.category is LowAcceptanceWarning for w in caught)
+    assert warned == (est.accepted < 100)
     assert est.mean.hex() == mean
     assert est.std_error.hex() == std_error
 
