@@ -293,45 +293,14 @@ def mc_joint_freedom(t: CrossTable, samples: int, seed: int) -> MCEstimate:
         )
     if cells < 2:
         raise DomainError("need at least 2 cells")
-    import numpy as np
-
-    # the integer cuts of the row margins, then of the column margins
-    cuts = [
-        oracle._cuts(ne - 1e-12, po + 1e-12)
-        for margins in (t.row_marginals, t.col_marginals)
-        for ne, po in zip(margins.ne, margins.po)
+    # table cell (i, j) is spacing i*m + j: each row is one run of m
+    # consecutive spacings, each column every m-th spacing from j
+    rows, cols = t.row_marginals, t.col_marginals
+    tests = [
+        (range(i * m, (i + 1) * m), ne - 1e-12, po + 1e-12)
+        for i, (ne, po) in enumerate(zip(rows.ne, rows.po))
+    ] + [
+        (range(j, cells, m), ne - 1e-12, po + 1e-12)
+        for j, (ne, po) in enumerate(zip(cols.ne, cols.po))
     ]
-
-    def accept_for(width: int):
-        # table cell (i, j) is spacing i*m + j; its row and column sums add
-        # the integer spacings into buffers made once per estimate.  They are
-        # 2^53 times the sums of the doubles, which are exact: every partial
-        # sum is a multiple of 2^-53 in [0, 1]
-        p = np.empty(width, dtype=np.uint64)
-        row_sums = np.empty((k, width), dtype=np.uint64)
-        col_sums = np.empty((m, width), dtype=np.uint64)
-        ok = np.empty(width, dtype=bool)
-        hit = np.empty(width, dtype=bool)
-
-        def accept(u: list[np.ndarray]) -> np.ndarray:
-            b = len(u[0])
-            pb, rows, cols = p[:b], row_sums[:, :b], col_sums[:, :b]
-            for c, spacing in enumerate(oracle._spacings(u, pb)):
-                i, j = divmod(c, m)
-                if j:
-                    rows[i] += spacing
-                else:
-                    rows[i] = spacing
-                if i:
-                    cols[j] += spacing
-                else:
-                    cols[j] = spacing
-            okb, hitb = ok[:b], hit[:b]
-            okb.fill(True)
-            for sums, cut in zip((*rows, *cols), cuts):
-                oracle._within(sums, cut, okb, hitb)
-            return okb
-
-        return accept
-
-    return oracle._estimate(cells - 1, samples, seed, accept_for)
+    return oracle._estimate(cells - 1, samples, seed, tests)

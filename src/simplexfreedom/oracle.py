@@ -20,16 +20,19 @@ Simplex sampling uses the order-statistics spacings construction: sort M-1
 uniforms and take successive differences against 0 and 1.  This is exactly
 uniform on the simplex and needs no transcendental functions.  All three
 rejection estimators (``mc_freedom``, ``mc_freedom_conditional`` and
-``crosstab.mc_joint_freedom``, with cells flattened row-major) share one
-layout: rows come in blocks of 2^20 (the last holds the rest), coordinate i
-of row r in a block is word i*rows + r of that block, and each row is sorted
-ascending (any correct sort gives the same bits).  That layout is the
-contract.  A block is evaluated 2^15 rows at a time, each coordinate read
-from its own stream seeked to the start of its counter run, which is only an
-order of evaluation: it changes no bit of any estimate.  Each estimate
-allocates its sub-block workspace once (k coordinate rows, one spare row and
-the predicate's buffers); the stream writes into those rows and a sorting
-network for k wires sorts them in place.
+``crosstab.mc_joint_freedom``, with cells flattened row-major) keep a row
+when each of their tests ne <= scale * (sum of some spacings) <= po holds:
+one spacing per test for a box, one table row or column per test for a
+joint table.  They share one layout: rows come in blocks of 2^20 (the last
+holds the rest), coordinate i of row r in a block is word i*rows + r of that
+block, and each row is sorted ascending (any correct sort gives the same
+bits).  That layout is the contract.  A block is evaluated 2^15 rows at a
+time, each coordinate read from its own stream seeked to the start of its
+counter run, which is only an order of evaluation: it changes no bit of any
+estimate.  Each estimate allocates its sub-block workspace once: k
+coordinate rows, one spare row and two boolean masks.  The stream writes into
+the coordinate rows, a sorting network for k wires sorts them in place
+through the spare row, and the spare row then holds each test's sum in turn.
 
 The contract above is stated in doubles, and a float implementation of it
 gets the same bits as this one, which evaluates it in the 53-bit integers
@@ -40,8 +43,10 @@ joint-table spacings, because it is at most 1.  Each tested double is
 therefore exactly s * 2^-53 for an integer s in [0, 2^53] (times q for the
 conditional form, rounded once), a nondecreasing function of s, so each
 acceptance test holds exactly on a run lo <= s <= hi of integers.  The
-sampler sorts, spaces and sums the integers and compares them with those
-cuts, found once per estimate from the float test as written.
+sampler sorts and sums the integers and compares them with those cuts, found
+once per estimate from the float test as written.  A run of consecutive
+spacings a..z sums to one difference x[z+1] - x[a] of the sorted integers
+x = (0, u_0, ..., u_{k-1}, 2^53), so no spacing is formed on its own.
 
 numpy is imported only inside the functions that build or touch arrays, so
 importing the package does not load it.  It loads on the first sampling
@@ -207,22 +212,32 @@ def _check_samples(samples: int) -> int:
     return samples
 
 
-def _estimate(k: int, samples: int, seed: int, accept_for, factor=1.0) -> MCEstimate:
+def _estimate(
+    k: int, samples: int, seed: int, tests, scale: float = 1.0
+) -> MCEstimate:
     """The one rejection sampler: ``samples`` rows of k sorted uniforms in the
-    layout above.  ``accept_for(width)`` is called once per estimate and
-    returns the predicate, which takes a sub-block of at most ``width`` rows
-    as a list of its k sorted coordinate rows (uint64 integers x standing for
-    the uniforms x * 2^-53) and returns the acceptance mask.  The accepted
-    fraction and its binomial SE are scaled by ``factor``.  Warns at the
-    estimator's caller when fewer than 100 rows are accepted."""
+    layout above, spaced into p_0 .. p_k.  ``tests`` lists the acceptance
+    tests as (cells, ne, po), stated in floats: a row is kept when
+    ne <= scale * sum(p_c for c in cells) <= po for every test.  The
+    accepted fraction and its binomial SE are scaled by scale^k.  Warns at
+    the estimator's caller when fewer than 100 rows are accepted.
+
+    Each test becomes integer cuts (``_cuts``) and the sorted integers its
+    sum adds and subtracts (``_ends``), summed into the spare row; uint64
+    arithmetic wraps modulo 2^64, and every sum ends in [0, 2^53], so the
+    order of the terms is free.  The workspace is k + 1 uint64 rows and two
+    boolean rows of at most 2^15 words."""
     seed = _integer(seed, "seed") & _MASK64
     import numpy as np
 
+    plans = [(*_ends(cells), _cuts(ne, po, scale)) for cells, ne, po in tests]
     width = min(_SUB, samples)
-    # the only sub-block buffers: k coordinate rows and one spare row that
-    # the comparators rotate through
+    # the only sub-block buffers: k coordinate rows, one spare row that the
+    # comparators rotate through and the tests then sum into, and two masks
     work = np.empty((k + 1, width), dtype=np.uint64)
-    accept = accept_for(width)
+    ok = np.empty(width, dtype=bool)
+    hit = np.empty(width, dtype=bool)
+    top = np.uint64(_ONE)
     accepted = 0
     for done in range(0, samples, _CHUNK):
         rows = min(_CHUNK, samples - done)
@@ -240,13 +255,25 @@ def _estimate(k: int, samples: int, seed: int, accept_for, factor=1.0) -> MCEsti
                 np.minimum(u[i], u[j], out=spare)
                 np.maximum(u[i], u[j], out=u[j])
                 u[i], spare = spare, u[i]
-            accepted += int(np.count_nonzero(accept(u)))
+            # x[0] = 0 is never a term
+            x = [None, *u, top]
+            okb, hitb = ok[:b], hit[:b]
+            okb.fill(True)
+            for plus, minus, cut in plans:
+                s = x[plus[0]]
+                for i in plus[1:]:
+                    s = np.add(s, x[i], out=spare)
+                for i in minus:
+                    s = np.subtract(s, x[i], out=spare)
+                _within(s, cut, okb, hitb)
+            accepted += int(np.count_nonzero(okb))
     if accepted < 100:
         warnings.warn(
             f"only {accepted} of {samples} samples accepted; the estimate is noisy",
             LowAcceptanceWarning,
             stacklevel=3,
         )
+    factor = _ipow(scale, k)
     frac = accepted / samples
     se = factor * math.sqrt(frac * (1.0 - frac) / samples)
     return MCEstimate(
@@ -256,6 +283,18 @@ def _estimate(k: int, samples: int, seed: int, accept_for, factor=1.0) -> MCEsti
         seed=seed,
         accepted=accepted,
     )
+
+
+def _ends(cells) -> tuple[list[int], list[int]]:
+    """The sum of the spacings ``cells`` as sum(x[plus]) - sum(x[minus]) over
+    the sorted integers x = (0, u_0, ..., u_{k-1}, 2^53).  Spacing c is
+    x[c+1] - x[c], so each run of consecutive spacings a..z sums to one
+    difference x[z+1] - x[a]; x[0] = 0 is left out, so a lone run that
+    starts at spacing 0 is just x[z+1]."""
+    cells = set(cells)
+    plus = sorted(c + 1 for c in cells if c + 1 not in cells)
+    minus = sorted(c for c in cells if c and c - 1 not in cells)
+    return plus, minus
 
 
 def _cuts(ne: float, po: float, scale: float = 1.0) -> tuple[int, int]:
@@ -298,42 +337,6 @@ def _within(x, cut: tuple[int, int], ok: np.ndarray, hit: np.ndarray) -> None:
         ok &= hit
 
 
-def _spacings(u: list[np.ndarray], out: np.ndarray):
-    """Yield each integer spacing of the sorted rows ``u`` in turn: u[0],
-    then ``out`` holding u[1] - u[0], ..., 2^53 - u[-1].  Each is exactly
-    2^53 times the spacing of the doubles."""
-    import numpy as np
-
-    yield u[0]
-    for lower, upper in zip(u, u[1:]):
-        np.subtract(upper, lower, out=out)
-        yield out
-    np.subtract(np.uint64(_ONE), u[-1], out=out)
-    yield out
-
-
-def _box_test(ne, po, scale: float, width: int):
-    """Predicate: every spacing times ``scale`` lies in [ne_i, po_i], tested
-    one coordinate at a time on integer cuts into buffers of ``width`` rows
-    made once."""
-    import numpy as np
-
-    cuts = [_cuts(*bounds, scale) for bounds in zip(ne, po)]
-    p = np.empty(width, dtype=np.uint64)
-    ok = np.empty(width, dtype=bool)
-    hit = np.empty(width, dtype=bool)
-
-    def accept(u: list[np.ndarray]) -> np.ndarray:
-        b = len(u[0])
-        okb, hitb = ok[:b], hit[:b]
-        okb.fill(True)
-        for cut, spacing in zip(cuts, _spacings(u, p[:b])):
-            _within(spacing, cut, okb, hitb)
-        return okb
-
-    return accept
-
-
 def _ipow(x: float, n: int) -> float:
     """x**n by repeated multiplication: exact control over rounding, no libm."""
     r = 1.0
@@ -353,8 +356,8 @@ def mc_freedom(a: IntervalAssignment, samples: int, seed: int) -> MCEstimate:
     samples = _check_samples(samples)
     if a.m < 2:
         raise DomainError("need at least 2 options")
-    accept_for = functools.partial(_box_test, a.ne, a.po, 1.0)
-    return _estimate(a.m - 1, samples, seed, accept_for)
+    tests = [((i,), ne, po) for i, (ne, po) in enumerate(zip(a.ne, a.po))]
+    return _estimate(a.m - 1, samples, seed, tests)
 
 
 def mc_freedom_conditional(
@@ -373,8 +376,8 @@ def mc_freedom_conditional(
     q = float(q)
     if not (0.0 < q <= 1.0):
         raise DomainError(f"q = {q!r} outside (0, 1]")
-    accept_for = functools.partial(_box_test, a.ne, a.po, q)
-    return _estimate(a.m - 1, samples, seed, accept_for, _ipow(q, a.m - 1))
+    tests = [((i,), ne, po) for i, (ne, po) in enumerate(zip(a.ne, a.po))]
+    return _estimate(a.m - 1, samples, seed, tests, q)
 
 
 @dataclass(frozen=True)

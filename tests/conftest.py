@@ -36,8 +36,11 @@ def random_valid_assignment(rng: SplitMix64, m: int, tight: bool = False) -> Int
 
     Possibilities are drawn until they sum past 1 with a little margin;
     necessities sit uniformly under them and are rescaled when their sum
-    approaches 1.
+    approaches 1.  A single possibility is at most 1, so m < 2 is refused
+    rather than redrawn forever.
     """
+    if m < 2:
+        raise ValueError(f"need at least 2 options, got m = {m}")
     while True:
         po = [0.02 + 0.98 * rng.random() for _ in range(m)]
         if sum(po) >= 1.02:

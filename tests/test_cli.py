@@ -207,6 +207,16 @@ class TestCommands:
         assert code == 0
         assert rep["results"]["case1_census"] == [[1, 1]]
 
+    def test_crosstab_low_acceptance_is_reported_not_warned(self, tmp_path, capsys):
+        # point margins accept no table; vacuous ones accept every table
+        for bound, low in ((0.5, True), (1.0, False)):
+            side = [{"ne": 1.0 - bound, "po": bound}] * 2
+            path = write(tmp_path, "t.json", {"rows": side, "cols": side})
+            assert run(RunConfig("crosstab", path, samples=1000)) == 0
+            out, err = capsys.readouterr()
+            assert json.loads(out)["results"]["joint_freedom"]["low_acceptance"] is low
+            assert err == ""
+
     def test_crosstab_too_many_cells_skips_joint(self, tmp_path, capsys):
         doc = {
             "rows": [{"ne": 0, "po": 1}] * 4,

@@ -343,14 +343,16 @@ class TestMcJointFreedom:
 
     def test_single_row_table_matches_plain_estimate(self):
         cols = validate([0.1, 0.0, 0.2], [0.6, 0.7, 0.5])
-        t = CrossTable(
-            row_marginals=IntervalAssignment(("all",), (0.0,), (1.0,)),
-            col_marginals=cols,
-        )
-        joint = mc_joint_freedom(t, 100_000, 8)
-        plain = mc_freedom(cols, 100_000, 8)
-        combined = (joint.std_error**2 + plain.std_error**2) ** 0.5
-        assert abs(joint.mean - plain.mean) <= 4.0 * combined + 1e-12
+        one = IntervalAssignment(("all",), (0.0,), (1.0,))
+        # the one row sums every spacing, and so does the one column of its
+        # transpose; 2^20 + 5 samples cross the block seam
+        for samples in (100_000, 2**20 + 5):
+            plain = mc_freedom(cols, samples, 8)
+            for t in (CrossTable(one, cols), CrossTable(cols, one)):
+                joint = mc_joint_freedom(t, samples, 8)
+                combined = (joint.std_error**2 + plain.std_error**2) ** 0.5
+                assert abs(joint.mean - plain.mean) <= 4.0 * combined + 1e-12
+                assert joint.accepted == plain.accepted
 
     def test_cell_cap(self):
         t = CrossTable(

@@ -137,6 +137,13 @@ def test_worker_seed_derivation():
         derive_worker_seed(42, -1)
 
 
+def test_random_assignment_needs_two_options():
+    # one possibility is at most 1, so no redraw could sum past 1.02
+    for m in (0, 1):
+        with pytest.raises(ValueError):
+            random_valid_assignment(SplitMix64(1), m)
+
+
 def _apply(network, u: np.ndarray) -> np.ndarray:
     u = u.copy()
     for i, j in network:
@@ -235,7 +242,8 @@ class TestIntegerKernel:
             assert mc_freedom_conditional(a, q, 4000, m).accepted == want
 
     def test_joint_margins(self, rng):
-        for k, m in ((2, 2), (2, 3), (3, 3), (3, 4)):
+        # a one-row or one-column table sums every spacing into one margin
+        for k, m in ((2, 2), (2, 3), (3, 3), (3, 4), (1, 3), (3, 1)):
             t = CrossTable(_random_box(rng, k), _random_box(rng, m))
 
             def accept(p):
@@ -497,13 +505,24 @@ SCALED = [
     ("q=1/3", 7, 20_000, "0x1.0f90bb8e23068p-18", "0x1.1a6bbfc69a9a6p-21"),
     ("q=1/3", 7, 1_100_000, "0x1.d8d557ea7692fp-19", "0x1.1c4f154424e5ep-24"),
 ]
+# Recorded while the joint sampler summed rows and columns one spacing at a
+# time: tall tables, where each column sums k spacings that are not
+# consecutive.
+TALL = [
+    ("joint", (3, 2), 20_000, "0x1.9a43fe5c91d15p-2", "0x1.c62b560b8485cp-9"),
+    ("joint", (4, 3), 20_000, "0x1.4d1b71758e219p-2", "0x1.b233d6bf14080p-9"),
+    ("joint", (6, 2), 20_000, "0x1.8a3d70a3d70a4p-4", "0x1.1159a90beacecp-9"),
+    ("joint", (3, 2), 1_100_000, "0x1.9860ef0715155p-2", "0x1.e98b54c2ad120p-12"),
+    ("joint", (4, 3), 1_100_000, "0x1.49fe49812c462p-2", "0x1.d33ce3400fdd0p-12"),
+    ("joint", (6, 2), 1_100_000, "0x1.91bc558644524p-4", "0x1.295b544385bfep-12"),
+]
 
 
 @pytest.mark.parametrize(
     "kind, size, samples, mean, std_error",
-    PINNED + SEAMS + SWITCH + SCALED,
+    PINNED + SEAMS + SWITCH + SCALED + TALL,
     ids=[f"{c[0]}-{c[1]}" for c in PINNED]
-    + [f"{c[0]}-{c[1]}-{c[2]}" for c in SEAMS + SWITCH + SCALED],
+    + [f"{c[0]}-{c[1]}-{c[2]}" for c in SEAMS + SWITCH + SCALED + TALL],
 )
 def test_estimates_are_pinned_bit_for_bit(kind, size, samples, mean, std_error):
     with warnings.catch_warnings(record=True) as caught:
