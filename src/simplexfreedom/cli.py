@@ -252,7 +252,7 @@ def _cmd_crosstab(cfg: RunConfig, data: bytes):
         results["joint_freedom"] = {
             "mean": est.mean,
             "std_error": est.std_error,
-            "low_acceptance": est.accepted < 100,
+            "low_acceptance": est.accepted < oracle.MIN_ACCEPTED,
         }
     except TooManyCells as exc:
         results["joint_freedom"] = None

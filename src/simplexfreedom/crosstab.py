@@ -58,6 +58,12 @@ def _check_margin_pair(ne: float, po: float, what: str) -> tuple[float, float]:
     return min(ne, po), po
 
 
+def _frechet(a: float, b: float) -> tuple[float, float]:
+    """The Frechet interval [max(0, a + b - 1), min(a, b)] of a cell whose
+    row and column hold a and b."""
+    return max(0.0, a + b - 1.0), min(a, b)
+
+
 @dataclass(frozen=True)
 class CellBounds:
     """Frechet bounds on one cell's necessity and possibility."""
@@ -74,12 +80,7 @@ def cell_bounds(
     """Bounds on ne_ij and po_ij induced by one row and one column margin."""
     ne_row, po_row = _check_margin_pair(ne_row, po_row, "row")
     ne_col, po_col = _check_margin_pair(ne_col, po_col, "col")
-    return CellBounds(
-        ne_lower=max(0.0, ne_row + ne_col - 1.0),
-        ne_upper=min(ne_row, ne_col),
-        po_lower=max(0.0, po_row + po_col - 1.0),
-        po_upper=min(po_row, po_col),
-    )
+    return CellBounds(*_frechet(ne_row, ne_col), *_frechet(po_row, po_col))
 
 
 def dependency(p_joint: float, p_row: float, p_col: float) -> float:
@@ -94,8 +95,7 @@ def dependency(p_joint: float, p_row: float, p_col: float) -> float:
     p_joint = _check_unit("p_joint", p_joint)
     p_row = _check_unit("p_row", p_row)
     p_col = _check_unit("p_col", p_col)
-    a = min(p_row, p_col)
-    b = max(0.0, p_row + p_col - 1.0)
+    b, a = _frechet(p_row, p_col)
     if a - b <= 1e-12:
         raise DegenerateCell(
             f"Frechet interval [{b:.12g}, {a:.12g}] has zero width; D undefined"
@@ -163,13 +163,11 @@ def cell_width_vs_dependency(
     """
     ne_row, po_row = _check_margin_pair(ne_row, po_row, "row")
     ne_col, po_col = _check_margin_pair(ne_col, po_col, "col")
-    d = float(d)
-    if not math.isfinite(d) or d < -TOLERANCE or d > 1.0 + TOLERANCE:
-        raise ValidationError([Violation("RangeError", f"d = {d!r} outside [0, 1]")])
-    d = min(max(d, 0.0), 1.0)
+    d = _check_unit("d", d)
 
     def pinned(a: float, b: float) -> float:
-        return d * min(a, b) + (1.0 - d) * max(0.0, a + b - 1.0)
+        lo, hi = _frechet(a, b)
+        return d * hi + (1.0 - d) * lo
 
     return max(0.0, pinned(po_row, po_col) - pinned(ne_row, ne_col))
 
@@ -209,36 +207,26 @@ class CrossTable:
         cols = self.col_marginals
         for i in range(k):
             for j in range(m):
-                lo = max(0.0, rows.ne[i] + cols.ne[j] - 1.0)
-                hi = min(rows.po[i], cols.po[j])
+                lo = _frechet(rows.ne[i], cols.ne[j])[0]
+                hi = _frechet(rows.po[i], cols.po[j])[1]
                 if joint[i][j] < lo - TOLERANCE or joint[i][j] > hi + TOLERANCE:
                     raise FrechetViolation(
                         f"joint[{i}][{j}] = {joint[i][j]:.12g} outside "
                         f"Frechet bounds [{lo:.12g}, {hi:.12g}] of its margins"
                     )
         bad: list[Violation] = []
-        for i in range(k):
-            s = math.fsum(joint[i])
-            if s < rows.ne[i] - TOLERANCE or s > rows.po[i] + TOLERANCE:
-                bad.append(
-                    Violation(
-                        "MarginMismatch",
-                        f"row {i} sums to {s:.12g}, outside "
-                        f"[{rows.ne[i]:.12g}, {rows.po[i]:.12g}]",
-                        i,
+        for what, margin, lines in (("row", rows, joint), ("column", cols, zip(*joint))):
+            for i, line in enumerate(lines):
+                s = math.fsum(line)
+                ne, po = margin.ne[i], margin.po[i]
+                if s < ne - TOLERANCE or s > po + TOLERANCE:
+                    bad.append(
+                        Violation(
+                            "MarginMismatch",
+                            f"{what} {i} sums to {s:.12g}, outside [{ne:.12g}, {po:.12g}]",
+                            i,
+                        )
                     )
-                )
-        for j in range(m):
-            s = math.fsum(joint[i][j] for i in range(k))
-            if s < cols.ne[j] - TOLERANCE or s > cols.po[j] + TOLERANCE:
-                bad.append(
-                    Violation(
-                        "MarginMismatch",
-                        f"column {j} sums to {s:.12g}, outside "
-                        f"[{cols.ne[j]:.12g}, {cols.po[j]:.12g}]",
-                        j,
-                    )
-                )
         if bad:
             raise ValidationError(bad)
         object.__setattr__(self, "joint", joint)

@@ -265,7 +265,9 @@ def subset_scan(a: IntervalAssignment, *, force_cap: bool = False) -> SubsetScan
     complement's point values; the entry reports F_cond at that q.  Subsets
     whose complement carries interval-valued belief have no defined
     conditional mass and are omitted (counted in ``omitted``).  Singletons
-    are excluded: a one-option measure is degenerate.
+    are excluded: a one-option measure is degenerate.  Only complements of
+    point-valued options are visited, 2^P of them for P such options, and
+    entries come in increasing order of the kept options' bit mask.
     """
     if a.m < 3:
         raise ValidationError(
@@ -273,34 +275,27 @@ def subset_scan(a: IntervalAssignment, *, force_cap: bool = False) -> SubsetScan
         )
     _check_cap(a.m, force_cap)
     m = a.m
+    points = sum(1 << i for i in range(m) if a.po[i] - a.ne[i] <= TOLERANCE)
     entries: list[SubsetEntry] = []
-    omitted = 0
-    for mask in range(1, 1 << m):
-        size = mask.bit_count()
-        if size < 2 or size == m:
-            continue
-        kept = [i for i in range(m) if mask >> i & 1]
-        rest = [i for i in range(m) if not mask >> i & 1]
-        if any(a.po[j] - a.ne[j] > TOLERANCE for j in rest):
-            omitted += 1
-            continue
-        q = 1.0 - math.fsum(a.ne[j] for j in rest)
-        if q <= 1e-12:  # no mass left beyond the complement's rounding
-            value = 0.0
-            q = max(q, 0.0)
-        else:
-            sub = IntervalAssignment(
-                tuple(a.options[i] for i in kept),
-                tuple(a.ne[i] for i in kept),
-                tuple(a.po[i] for i in kept),
+    r = points  # the complement: each nonempty submask of points, decreasing
+    while r:
+        if r.bit_count() <= m - 2:
+            kept = [i for i in range(m) if not r >> i & 1]
+            q = 1.0 - math.fsum(a.ne[j] for j in range(m) if r >> j & 1)
+            if q <= 1e-12:  # no mass left beyond the complement's rounding
+                value = 0.0
+                q = max(q, 0.0)
+            else:
+                ne, po = [a.ne[i] for i in kept], [a.po[i] for i in kept]
+                value = _box_simplex_volume(ne, po, q, len(kept) - 1)
+            entries.append(
+                SubsetEntry(
+                    indices=tuple(kept),
+                    labels=tuple(a.options[i] for i in kept),
+                    q=q,
+                    conditional_freedom=value,
+                )
             )
-            value = freedom_conditional(sub, q, force_cap=force_cap)
-        entries.append(
-            SubsetEntry(
-                indices=tuple(kept),
-                labels=tuple(a.options[i] for i in kept),
-                q=q,
-                conditional_freedom=value,
-            )
-        )
-    return SubsetScan(entries=tuple(entries), omitted=omitted)
+        r = (r - 1) & points
+    # every other subset with 2 <= |K| < M, of 2^M - M - 2, is omitted
+    return SubsetScan(entries=tuple(entries), omitted=(1 << m) - m - 2 - len(entries))

@@ -86,6 +86,9 @@ _ONE = 1 << 53
 # time so its working set ((k + 1) * 256 KiB of 64-bit words) stays in cache.
 # Only the order of evaluation depends on it; estimates do not.
 _SUB = 1 << 15
+# An estimate from fewer accepted rows than this is noisy: the estimators
+# warn, and the crosstab command reports it as low_acceptance.
+MIN_ACCEPTED = 100
 
 
 @functools.cache
@@ -267,7 +270,7 @@ def _estimate(
                     s = np.subtract(s, x[i], out=spare)
                 _within(s, cut, okb, hitb)
             accepted += int(np.count_nonzero(okb))
-    if accepted < 100:
+    if accepted < MIN_ACCEPTED:
         warnings.warn(
             f"only {accepted} of {samples} samples accepted; the estimate is noisy",
             LowAcceptanceWarning,
@@ -398,8 +401,6 @@ def _clip_halfplane(
     points: list[tuple[float, float]], a: float, b: float, c: float
 ) -> list[tuple[float, float]]:
     """Keep the part of a convex polygon with a*x + b*y <= c."""
-    if not points:
-        return []
     out: list[tuple[float, float]] = []
     n = len(points)
     for i in range(n):
@@ -453,8 +454,6 @@ def region_polygon(a: IntervalAssignment) -> RegionPolygon:
         if not points:
             return RegionPolygon(vertices=(), area_fraction=0.0)
     points = _dedup_ring(points)
-    if not points:
-        return RegionPolygon(vertices=(), area_fraction=0.0)
     # shoelace signed sum equals area/(1/2) directly
     n = len(points)
     signed = math.fsum(

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
 import os
 import subprocess
@@ -35,6 +37,8 @@ F3_QUARTER = {
         {"name": "z", "ne": 0, "po": 0.5},
     ]
 }
+
+VACUOUS_2X2 = {"rows": [{"ne": 0, "po": 1}] * 2, "cols": [{"ne": 0, "po": 1}] * 2}
 
 
 def write(tmp_path, name, doc):
@@ -228,6 +232,25 @@ class TestCommands:
         assert rep["results"]["joint_freedom"] is None
         assert "cap" in rep["results"]["joint_freedom_skipped"]
 
+    def test_crosstab_degenerate_margin_has_null_dependency(self, tmp_path, capsys):
+        # column 2 of the joint sums to 0, so its cells' Frechet intervals
+        # have zero width and their dependency is undefined
+        vacuous = {"ne": 0, "po": 1}
+        doc = {
+            "rows": [vacuous] * 2,
+            "cols": [vacuous] * 3,
+            "joint": [[0.3, 0.2, 0.0], [0.1, 0.4, 0.0]],
+        }
+        path = write(tmp_path, "t.json", doc)
+        code, rep = run_json(capsys, RunConfig("crosstab", path, samples=1000))
+        assert code == 0
+        dep = rep["results"]["dependency"]
+        assert [row[2] for row in dep] == [None, None]
+        assert [row[:2] for row in dep] == [
+            [pytest.approx(0.75), pytest.approx(0.25)],
+            [pytest.approx(0.25), pytest.approx(0.75)],
+        ]
+
     def test_region(self, tmp_path, capsys):
         path = write(tmp_path, "a.json", F3_QUARTER)
         code, rep = run_json(capsys, RunConfig("region", path))
@@ -302,6 +325,16 @@ class TestOutputDiscipline:
         lines = capsys.readouterr().out.strip().splitlines()
         assert len(lines) == 1 + 3  # header + the three point-conditioned pairs
 
+    def test_csv_bool_and_list_cells(self, tmp_path, capsys):
+        path = write(tmp_path, "a.json", F3_QUARTER)
+        assert run(RunConfig("verify", path, samples=20_000, format="csv")) == 0
+        (row,) = csv.DictReader(io.StringIO(capsys.readouterr().out))
+        assert row["within_4se"] == "true"
+        assert run(RunConfig("validate", path, format="csv")) == 0
+        (row,) = csv.DictReader(io.StringIO(capsys.readouterr().out))
+        assert row["options"] == '["x", "y", "z"]'
+        assert row["tightened_po"] == "[0.5, 0.5, 0.5]"
+
     def test_csv_crosstab_one_row_per_cell(self, tmp_path, capsys):
         doc = {
             "rows": [{"ne": 0, "po": 1}, {"ne": 0, "po": 1}],
@@ -322,6 +355,51 @@ class TestExitCodes:
         path.write_text("{oops")
         assert run(RunConfig("measure", str(path))) == 2
 
+    @pytest.mark.parametrize(
+        "command,content,message",
+        [
+            ("measure", b'{"options": 5}', '"options" must be a list'),
+            ("measure", b'{"options": [1, 2]}', "options[0] must be an object"),
+            (
+                "measure",
+                b'{"options": [{"ne": true, "po": 1}]}',
+                "options[0].ne must be a number",
+            ),
+            ("measure", b"[]", 'top-level object must contain an "options" list'),
+            ("crosstab", b"[]", "top-level value must be an object"),
+            (
+                "crosstab",
+                json.dumps({**VACUOUS_2X2, "joint": 5}).encode(),
+                '"joint" must be a matrix (list of lists)',
+            ),
+            (
+                "crosstab",
+                json.dumps({**VACUOUS_2X2, "joint": [[0.5, "x"], [0, 0]]}).encode(),
+                "joint[0][1] must be a number",
+            ),
+            ("measure", b"\xff", "input is not UTF-8: "),
+        ],
+        ids=[
+            "options-not-list",
+            "option-not-object",
+            "bound-not-number",
+            "no-options",
+            "crosstab-not-object",
+            "joint-not-matrix",
+            "joint-cell-not-number",
+            "not-utf8",
+        ],
+    )
+    def test_parse_error_report(self, tmp_path, capsys, command, content, message):
+        path = tmp_path / "in.json"
+        path.write_bytes(content)
+        assert run(RunConfig(command, str(path))) == 2
+        out, err = capsys.readouterr()
+        report = json.loads(out)
+        assert report["error"]["type"] == "ParseError"
+        assert report["error"]["message"].startswith(message)
+        assert err == f"ParseError: {report['error']['message']}\n"
+
     def test_validation_exit_1(self, tmp_path, capsys):
         doc = {"options": [{"ne": 0.9, "po": 0.95}, {"ne": 0.5, "po": 0.6}]}
         path = write(tmp_path, "bad.json", doc)
@@ -331,6 +409,28 @@ class TestExitCodes:
         path = write(tmp_path, "a.json", EX1_CASE1)
         assert run(RunConfig("measure", str(path), q=1.5)) == 3
         assert run(RunConfig("measure", str(path), samples=0)) == 3
+
+    @pytest.mark.parametrize(
+        "flags,message",
+        [
+            ({"command": "frobnicate"}, "unknown command 'frobnicate'"),
+            ({"command": "sensitivity", "index": 1, "delta": -0.1},
+             "--delta must be nonnegative"),
+            ({"command": "sensitivity", "index": 1, "eps": 1.0},
+             "--eps must lie in (0, 1)"),
+            ({"command": "sensitivity", "index": 0},
+             "--index is 1-based and must be >= 1"),
+            ({"command": "measure", "format": "xml"}, "--format must be json or csv"),
+        ],
+        ids=["unknown-command", "negative-delta", "eps-out-of-range", "index-zero",
+             "bad-format"],
+    )
+    def test_run_usage_error_exit_3(self, tmp_path, capsys, flags, message):
+        path = write(tmp_path, "a.json", EX1_CASE1)
+        assert run(RunConfig(input_path=path, **flags)) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"usage error: {message}\n"
 
     def test_main_routes_args(self, tmp_path, capsys):
         path = write(tmp_path, "a.json", F3_QUARTER)

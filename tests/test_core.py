@@ -96,6 +96,11 @@ class TestValidate:
         sub = IntervalAssignment(("a", "b"), (0.0, 0.0), (0.3, 0.3))
         assert sub.m == 2
 
+    def test_ne_snaps_onto_po_within_tolerance(self):
+        a = IntervalAssignment(("a", "b"), (0.5 + 5e-10, 0.0), (0.5, 0.5))
+        assert a.ne == (0.5, 0.0)
+        assert a.po == (0.5, 0.5)
+
     def test_relaxed_constructor_still_checks_structure(self):
         with pytest.raises(ValidationError):
             IntervalAssignment(("a", "b"), (0.5, 0.2), (0.4, 0.3))

@@ -68,6 +68,11 @@ class TestCellBounds:
         with pytest.raises(ValidationError):
             cell_bounds(-0.5, 0.9, 0.1, 0.2)
 
+    def test_bound_order_check(self):
+        with pytest.raises(ValidationError) as exc:
+            cell_bounds(0.6, 0.5, 0.1, 0.2)
+        assert exc.value.codes == ("BoundOrder",)
+
 
 class TestDependency:
     def test_upper_bound_is_full_overlap(self):
@@ -212,6 +217,18 @@ class TestCrossTable:
                 joint=((0.3, 0.2), (0.2, 0.3)),
             )
         assert "MarginMismatch" in exc.value.codes
+
+    def test_joint_column_margin_mismatch(self):
+        # every cell is inside its Frechet bounds; column 0 sums past 0.3
+        with pytest.raises(ValidationError) as exc:
+            CrossTable(
+                row_marginals=validate([0, 0], [1, 1]),
+                col_marginals=validate([0, 0], [0.3, 1]),
+                joint=((0.2, 0.3), (0.2, 0.3)),
+            )
+        (v,) = exc.value.violations
+        assert (v.code, v.index) == ("MarginMismatch", 0)
+        assert v.message == "column 0 sums to 0.4, outside [0, 0.3]"
 
     def test_joint_shape_check(self):
         with pytest.raises(ValidationError):
@@ -369,6 +386,11 @@ class TestMcJointFreedom:
         )
         est = mc_joint_freedom(t, 5_000, 1)
         assert est.mean == 1.0
+
+    def test_one_cell_table(self):
+        one = IntervalAssignment(("all",), (0.0,), (1.0,))
+        with pytest.raises(DomainError, match="at least 2 cells"):
+            mc_joint_freedom(CrossTable(one, one), 1000, 1)
 
     def test_sample_domain(self):
         t = CrossTable(

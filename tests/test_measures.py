@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import time
 from fractions import Fraction
 
 import pytest
@@ -15,6 +16,9 @@ from simplexfreedom import (
     DomainError,
     IntervalAssignment,
     SplitMix64,
+    SubsetEntry,
+    SubsetScan,
+    TOLERANCE,
     ValidationError,
     classify,
     freedom,
@@ -316,7 +320,86 @@ class TestMeasureReport:
         assert rep.conditional_freedom == pytest.approx(0.5, abs=1e-12)
 
 
+def brute_scan(a: IntervalAssignment) -> SubsetScan:
+    """subset_scan by its definition: every one of the 2^M masks, filtered,
+    and each kept subset through freedom_conditional."""
+    m = a.m
+    entries = []
+    omitted = 0
+    for mask in range(1, 1 << m):
+        kept = [i for i in range(m) if mask >> i & 1]
+        rest = [i for i in range(m) if not mask >> i & 1]
+        if not 2 <= len(kept) < m:
+            continue
+        if any(a.po[j] - a.ne[j] > TOLERANCE for j in rest):
+            omitted += 1
+            continue
+        q = 1.0 - math.fsum(a.ne[j] for j in rest)
+        if q <= 1e-12:
+            value, q = 0.0, max(q, 0.0)
+        else:
+            sub = IntervalAssignment(
+                tuple(a.options[i] for i in kept),
+                tuple(a.ne[i] for i in kept),
+                tuple(a.po[i] for i in kept),
+            )
+            value = freedom_conditional(sub, q)
+        labels = tuple(a.options[i] for i in kept)
+        entries.append(SubsetEntry(tuple(kept), labels, q, value))
+    return SubsetScan(tuple(entries), omitted)
+
+
+def scan_input(seed: int) -> IntervalAssignment:
+    """M = 3 + seed % 10 options, 0..M of them point-valued, each exactly or
+    within TOLERANCE.  On every third seed the points hold all the mass, so
+    the complement of all of them leaves q <= 1e-12 (or a few 1e-9)."""
+    gen = SplitMix64(9100 + seed)
+    m = 3 + seed % 10
+    points = set(i for i in range(m) if gen.random() < gen.random())
+    absorb = seed % 3 == 0 and points
+    weights = [gen.random() if i in points or not absorb else 0.0 for i in range(m)]
+    p = [w / math.fsum(weights) for w in weights]
+    ne, po = [], []
+    for i in range(m):
+        if i in points:
+            jitter = 0.9 * TOLERANCE * gen.random() if gen.random() < 0.5 else 0.0
+            if gen.random() < 0.5:
+                ne.append(p[i])
+                po.append(min(1.0, p[i] + jitter))
+            else:
+                ne.append(max(0.0, p[i] - jitter))
+                po.append(p[i])
+        else:
+            ne.append(p[i] * gen.random())
+            po.append(p[i] + (1.0 - p[i]) * gen.random())
+    return IntervalAssignment(tuple(f"o{i}" for i in range(m)), tuple(ne), tuple(po))
+
+
 class TestSubsetScan:
+    def test_equals_brute_force_over_all_masks(self):
+        counts = {"entries": 0, "omitted": 0, "no_mass": 0, "within_tolerance": 0}
+        for seed in range(500):
+            a = scan_input(seed)
+            scan = subset_scan(a)
+            assert scan == brute_scan(a), f"seed {seed}"
+            counts["entries"] += len(scan.entries)
+            counts["omitted"] += scan.omitted
+            counts["no_mass"] += sum(e.q <= 1e-12 for e in scan.entries)
+            counts["within_tolerance"] += any(
+                0 < p - n <= TOLERANCE for n, p in zip(a.ne, a.po)
+            )
+        # the inputs reach every branch
+        assert all(counts.values()), counts
+
+    def test_cap_size_without_point_values_visits_nothing(self):
+        a = validate([0.0] * 24, [0.5] * 24)
+        start = time.perf_counter()
+        scan = subset_scan(a)
+        elapsed = time.perf_counter() - start
+        assert scan.entries == ()
+        assert scan.omitted == 2**24 - 24 - 2 == 16_777_190
+        assert elapsed < 1.0
+
     def test_one_point_valued_complement(self):
         a = validate([0.0, 0.0, 0.5], [0.5, 0.5, 0.5])
         scan = subset_scan(a)

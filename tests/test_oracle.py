@@ -313,6 +313,13 @@ class TestMcFreedom:
         with pytest.raises(DomainError):
             mc_freedom(validate([0, 0], [1, 1]), 0, 1)
 
+    def test_one_option_domain(self):
+        one = IntervalAssignment(("all",), (0.0,), (1.0,))
+        with pytest.raises(DomainError, match="at least 2 options"):
+            mc_freedom(one, 1000, 1)
+        with pytest.raises(DomainError, match="at least 2 options"):
+            mc_freedom_conditional(one, 0.5, 1000, 1)
+
     @pytest.mark.parametrize("samples", [10.5, 1000.0, "1000", None])
     def test_non_integral_sample_count(self, samples):
         a = validate([0.6, 0.2], [0.8, 0.4])
