@@ -10,9 +10,12 @@ It is evaluated exactly, on integers, by meet in the middle over two halves
 of the options (about 2^(M/2) subsets each, not 2^M), and rounded once to
 the nearest float.  So F is 1 exactly for the vacuous assignment and 0
 exactly when the region has no volume, as when an interval collapses to a
-point.  The rival measures A (anxiety ordering over sorted possibilities)
-and I (a Hartley-style bit count) use only the possibility vector and are
-insensitive to distinctions F resolves.
+point.  One sweep serves several cuts (the 1 above, or a mass q) of the
+same bounds: measure_report with q enumerates the subsets once for F and
+the conditional freedom, and sensitivity's three F values share one
+enumeration over the other M - 1 options.  The rival measures A (anxiety
+ordering over sorted possibilities) and I (a Hartley-style bit count) use
+only the possibility vector and are insensitive to distinctions F resolves.
 """
 
 from __future__ import annotations
@@ -72,48 +75,45 @@ def _width_sums(
     return sums
 
 
-def _box_simplex_volume(
-    ne: list[float], po: list[float], mass: float, exponent: int
-) -> float:
-    """Volume of {p >= 0, sum(p) = mass, ne <= p <= po}, rescaled so the
-    unconstrained mass-1 simplex has volume 1, correctly rounded.
+def _sweep(widths: list[int], cuts: list[int], exponent: int) -> list[int]:
+    """For each integer cut c, the exact sum over every subset T of the
+    options of (-1)^|T| * max(0, c - W_T)^exponent, where W_T sums the
+    (nonnegative integer) widths in T.
 
-    Every float is an integer over a power of two, so scaling all bounds by
-    2^e makes the inclusion-exclusion sum exact on Python integers.  Options
-    of equal width form one group with binomial weights, and the groups are
-    split into two halves of about equal subset counts (meet in the middle).
-    With x = base - W_A for a subset of the first half and n = exponent, the
-    second half's subsets with W_B < x contribute
+    Options of equal width form one group with binomial weights, and the
+    groups are split into two halves (meet in the middle), each enumerated
+    once and pruned at the largest cut.  With x = c - W_A for a subset A of
+    the first half and n = exponent, the second half's subsets with W_B < x
+    contribute
 
         sum_B b_B (x - W_B)^n = sum_j nu_j x^(n-j),
         nu_j = (-1)^j C(n, j) sum_B b_B W_B^j,
 
-    so one sweep over both halves, sorted, carries the n + 1 running moments
-    nu_j and evaluates each x by Horner.  The total is rounded once.  Total
-    for any bounds, including empty regions, which evaluate to 0.
+    so the x of every cut, tagged with the cut and merged into one sorted
+    list, are swept against the sorted second half: the sweep carries the
+    n + 1 running moments nu_j and adds each x's Horner value to its cut's
+    total.  A cut <= 0 sums to 0.
     """
-    m = len(ne)
-    ints, e = _scaled([*ne, *po, mass])
-    lo, hi = ints[:m], ints[m : 2 * m]
-    base = ints[2 * m] - sum(lo)
-    widths = [p - n for n, p in zip(lo, hi)]
-    if base <= 0 or sum(hi) <= ints[2 * m] or min(widths) <= 0:
-        return 0.0  # empty or measure-zero region, exactly
-
+    top = max(cuts)
     halves: tuple[list, list] = ([], [])
-    sizes = [1, 1]
+    sizes = [len(cuts), 1]  # first-half subsets are swept once per cut
     for group in sorted(Counter(widths).items(), key=lambda g: -g[1]):
-        h = sizes[1] < sizes[0]  # the half with fewer subsets so far
+        h = sizes[1] < sizes[0]  # the half with less work so far
         halves[h].append(group)
         sizes[h] *= group[1] + 1
-    first = sorted((base - s, b) for s, b in _width_sums(halves[0], base))
-    second = sorted(_width_sums(halves[1], base))
+    first = sorted(
+        (c - s, v, b)
+        for s, b in _width_sums(halves[0], top)
+        for v, c in enumerate(cuts)
+        if s < c
+    )
+    second = sorted(_width_sums(halves[1], top))
 
     coefs = [(-1) ** j * math.comb(exponent, j) for j in range(exponent + 1)]
     nu = [0] * (exponent + 1)
-    total = 0
+    totals = [0] * len(cuts)
     i = 0
-    for x, bx in first:
+    for x, v, bx in first:
         while i < len(second) and second[i][0] < x:
             w, t = second[i]
             i += 1
@@ -121,10 +121,41 @@ def _box_simplex_volume(
                 nu[j] += c * t
                 t *= w
         h = 0
-        for v in nu:
-            h = h * x + v
-        total += bx * h
-    return total / (1 << (e * exponent))
+        for u in nu:
+            h = h * x + u
+        totals[v] += bx * h
+    return totals
+
+
+def _box_simplex_volume(
+    ne: list[float], po: list[float], masses: list[float]
+) -> list[float]:
+    """Volume of {p >= 0, sum(p) = mass, ne <= p <= po} at each mass,
+    rescaled so the unconstrained mass-1 simplex has volume 1, each
+    correctly rounded.
+
+    Every float is an integer over a power of two, so scaling all bounds and
+    masses by one 2^e makes each inclusion-exclusion sum exact on Python
+    integers: the sum at cut mass - sum(ne) and exponent len(ne) - 1 (see
+    _sweep), one sweep for all masses, each divided once.  A mass outside
+    (sum(ne), sum(po)) or a zero width leaves an empty or measure-zero
+    region, whose exact sum is 0; it is not swept.  Total for any bounds.
+    """
+    m = len(ne)
+    ints, e = _scaled([*ne, *po, *masses])
+    lo, hi = ints[:m], ints[m : 2 * m]
+    widths = [p - n for n, p in zip(lo, hi)]
+    cuts = [t - sum(lo) if sum(lo) < t < sum(hi) else 0 for t in ints[2 * m :]]
+    if min(widths) <= 0 or max(cuts) <= 0:
+        return [0.0] * len(masses)
+    return [s / (1 << (e * (m - 1))) for s in _sweep(widths, cuts, m - 1)]
+
+
+def _conditional_mass(q: float) -> float:
+    q = float(q)
+    if not (0.0 < q <= 1.0):
+        raise DomainError(f"q = {q!r} outside (0, 1]")
+    return q
 
 
 def freedom(a: IntervalAssignment, *, force_cap: bool = False) -> float:
@@ -136,7 +167,40 @@ def freedom(a: IntervalAssignment, *, force_cap: bool = False) -> float:
     """
     _require_measurable(a)
     _check_cap(a.m, force_cap)
-    return _box_simplex_volume(list(a.ne), list(a.po), 1.0, a.m - 1)
+    return _box_simplex_volume(list(a.ne), list(a.po), [1.0])[0]
+
+
+def _freedoms_with(
+    a: IntervalAssignment,
+    k: int,
+    bounds: list[tuple[float, float]],
+    *,
+    force_cap: bool,
+) -> list[float]:
+    """freedom(a) with option k's bounds (ne_k, po_k) replaced by each pair
+    in turn, from one sweep over the other M - 1 options.
+
+    Splitting every subset T on whether it holds k gives
+    F = G(1 - ne_k) - G(1 - po_k), where G(x) sums (-1)^|T| *
+    max(0, x - sum_{i != k} ne_i - W_T)^(M-1) over the subsets T of the
+    other options.  The G values are exact integers on one scale, so each F
+    is freedom's exact rational, rounded once: bit for bit freedom's value.
+    """
+    _require_measurable(a)
+    _check_cap(a.m, force_cap)
+    m = a.m
+    ne = [x for i, x in enumerate(a.ne) if i != k]
+    po = [x for i, x in enumerate(a.po) if i != k]
+    ints, e = _scaled([*ne, *po, 1.0, *(x for pair in bounds for x in pair)])
+    lo, hi, ks = ints[: m - 1], ints[m - 1 : 2 * m - 2], ints[2 * m - 1 :]
+    widths = [p - n for n, p in zip(lo, hi)]
+    if min(widths) <= 0:
+        return [0.0] * len(bounds)  # G is 0: a zero width cancels every term
+    base = ints[2 * m - 2] - sum(lo)
+    cuts = sorted({base - x for x in ks})  # one cut per distinct bound of k
+    g = dict(zip(cuts, _sweep(widths, cuts, m - 1)))
+    scale = 1 << (e * (m - 1))
+    return [(g[base - n] - g[base - p]) / scale for n, p in zip(ks[::2], ks[1::2])]
 
 
 def freedom_conditional(
@@ -155,10 +219,8 @@ def freedom_conditional(
     """
     _require_measurable(a)
     _check_cap(a.m, force_cap)
-    q = float(q)
-    if not (0.0 < q <= 1.0):
-        raise DomainError(f"q = {q!r} outside (0, 1]")
-    return _box_simplex_volume(list(a.ne), list(a.po), q, a.m - 1)
+    q = _conditional_mass(q)
+    return _box_simplex_volume(list(a.ne), list(a.po), [q])[0]
 
 
 def _normed(f: float, m: int) -> float:
@@ -222,20 +284,21 @@ def measure_report(
 
     Freedom (and its normed form) is computed on the bounds as given, like
     the possibility-only measures, which use only the po vector.  When q is
-    supplied the unnormalized conditional freedom at mass q is included.
+    supplied the unnormalized conditional freedom at mass q is included,
+    from the same sweep as F, and the report holds q as the float used.
     """
-    f = freedom(a, force_cap=force_cap)
-    cond = None
-    if q is not None:
-        cond = freedom_conditional(a, q, force_cap=force_cap)
+    _require_measurable(a)
+    _check_cap(a.m, force_cap)
+    masses = [1.0] if q is None else [1.0, _conditional_mass(q)]
+    f, *cond = _box_simplex_volume(list(a.ne), list(a.po), masses)
     return MeasureReport(
         freedom=f,
         yager_ambiguity=yager_ambiguity(a),
         hartley_nonspecificity=hartley_nonspecificity(a),
         normed_freedom=_normed(f, a.m),
         m=a.m,
-        conditional_freedom=cond,
-        q=q,
+        conditional_freedom=cond[0] if cond else None,
+        q=masses[1] if cond else None,
     )
 
 
@@ -287,7 +350,7 @@ def subset_scan(a: IntervalAssignment, *, force_cap: bool = False) -> SubsetScan
                 q = max(q, 0.0)
             else:
                 ne, po = [a.ne[i] for i in kept], [a.po[i] for i in kept]
-                value = _box_simplex_volume(ne, po, q, len(kept) - 1)
+                value = _box_simplex_volume(ne, po, [q])[0]
             entries.append(
                 SubsetEntry(
                     indices=tuple(kept),

@@ -27,7 +27,7 @@ from .errors import (
     NotVacuous,
     ValidationError,
 )
-from .measures import freedom
+from .measures import _freedoms_with
 
 PO_DOMINATES = "po_dominates"
 NE_DOMINATES = "ne_dominates"
@@ -100,9 +100,24 @@ def impact_compare(
         a_ne = validate(ne2, a.po, a.options)
     except ValidationError as exc:
         raise InvalidPerturbation(f"perturbed assignment invalid: {exc}") from exc
-    f0 = freedom(a, force_cap=force_cap)
-    loss_po = max(0.0, f0 - freedom(a_po, force_cap=force_cap))
-    loss_ne = max(0.0, f0 - freedom(a_ne, force_cap=force_cap))
+    return _report(a, k, delta, a_po, a_ne, force_cap)
+
+
+def _report(
+    a: IntervalAssignment,
+    k: int,
+    delta: float,
+    a_po: IntervalAssignment,
+    a_ne: IntervalAssignment,
+    force_cap: bool,
+) -> SensitivityReport:
+    """Losses of a_po and a_ne, which differ from a only at option k, with
+    all three freedoms from one sweep over the other options."""
+    f0, f_po, f_ne = _freedoms_with(
+        a, k, [(b.ne[k], b.po[k]) for b in (a, a_po, a_ne)], force_cap=force_cap
+    )
+    loss_po = max(0.0, f0 - f_po)
+    loss_ne = max(0.0, f0 - f_ne)
     return SensitivityReport(
         index=k,
         delta=delta,
@@ -139,14 +154,4 @@ def imposition_compare(
     ne2[k] = eps
     a_po = replace(a, po=tuple(po2))
     a_ne = replace(a, ne=tuple(ne2))
-    f0 = freedom(a, force_cap=force_cap)
-    loss_po = max(0.0, f0 - freedom(a_po, force_cap=force_cap))
-    loss_ne = max(0.0, f0 - freedom(a_ne, force_cap=force_cap))
-    return SensitivityReport(
-        index=k,
-        delta=eps,
-        loss_from_po=loss_po,
-        loss_from_ne=loss_ne,
-        condition_holds=dominance_condition(a, k),
-        verdict=_verdict(loss_po, loss_ne),
-    )
+    return _report(a, k, eps, a_po, a_ne, force_cap)

@@ -6,6 +6,7 @@ import math
 import time
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -32,6 +33,7 @@ from simplexfreedom import (
     validate,
     yager_ambiguity,
 )
+from simplexfreedom.measures import _box_simplex_volume, _scaled, _sweep
 
 from conftest import assert_within_4se, random_valid_assignment
 
@@ -170,18 +172,51 @@ class TestConditionalFreedom:
             freedom_conditional(a, q)
 
 
-def brute_volume(ne, po, mass: float = 1.0) -> float:
-    """sum_T (-1)^|T| max(0, mass - W_T)^(M-1) over all 2^M subsets, on
-    Fractions (no pruning, grouping or splitting), rounded once."""
+def brute_volume(ne, po, mass: float = 1.0, exponent: int | None = None) -> float:
+    """sum_T (-1)^|T| max(0, mass - W_T)^exponent over all 2^M subsets,
+    with exponent M - 1 unless given, on Fractions (no pruning, grouping or
+    splitting), rounded once."""
     m = len(ne)
+    power = m - 1 if exponent is None else exponent
     args = [Fraction(mass) - sum(map(Fraction, ne))]  # args[T] = mass - W_T
     for n, p in zip(ne, po):
-        args += [a - (Fraction(p) - Fraction(n)) for a in args]
+        width = Fraction(p) - Fraction(n)
+        args += [a - width for a in args]
     total = Fraction(0)
     for mask, arg in enumerate(args):
         if arg > 0:
-            total += (-1) ** mask.bit_count() * arg ** (m - 1)
+            total += (-1) ** mask.bit_count() * arg ** power
     return float(total)
+
+
+def exactness_cases(gen: SplitMix64, m: int) -> list[tuple[list, list]]:
+    """Valid (ne, po) bounds of four kinds at M = m."""
+    cases = []
+    # distinct widths, full-precision bounds
+    ne = [0.1 * gen.random() / m for _ in range(m)]
+    cases.append((ne, [min(1.0, n + (1.2 + 1.3 * gen.random()) / m) for n in ne]))
+    # a 0.05 decimal grid, each po at least 1/m: many equal widths
+    low = -(-20 // m)
+    cases.append(([0.0] * m, [0.05 * (low + int(gen.random() * (21 - low)))
+                              for _ in range(m)]))
+    # one group of equal widths
+    cases.append(([0.0] * m, [1.3 / m] * m))
+    # one zero width
+    ne = [0.5 * gen.random() / m for _ in range(m)]
+    po = [min(1.0, n + 3.0 / m) for n in ne]
+    k = int(gen.random() * m)
+    po[k] = ne[k]
+    cases.append((ne, po))
+    return cases
+
+
+def sweep_at(ne, po, masses, exponent: int) -> tuple[list[int], int]:
+    """_sweep's exact sums at the cuts mass - sum(ne), and their divisor."""
+    m = len(ne)
+    ints, e = _scaled([*ne, *po, *masses])
+    lo, hi = ints[:m], ints[m : 2 * m]
+    cuts = [t - sum(lo) for t in ints[2 * m :]]
+    return _sweep([p - n for n, p in zip(lo, hi)], cuts, exponent), 1 << (e * exponent)
 
 
 class TestExactness:
@@ -193,22 +228,7 @@ class TestExactness:
     @pytest.mark.parametrize("m", range(2, 13))
     def test_equals_brute_force_sum(self, m):
         gen = SplitMix64(7000 + m)
-        cases = []
-        # distinct widths, full-precision bounds
-        ne = [0.1 * gen.random() / m for _ in range(m)]
-        cases.append((ne, [min(1.0, n + (1.2 + 1.3 * gen.random()) / m) for n in ne]))
-        # a 0.05 decimal grid, each po at least 1/m: many equal widths
-        low = -(-20 // m)
-        cases.append(([0.0] * m, [0.05 * (low + int(gen.random() * (21 - low)))
-                                  for _ in range(m)]))
-        # one group of equal widths
-        cases.append(([0.0] * m, [1.3 / m] * m))
-        # one zero width
-        ne = [0.5 * gen.random() / m for _ in range(m)]
-        po = [min(1.0, n + 3.0 / m) for n in ne]
-        k = int(gen.random() * m)
-        po[k] = ne[k]
-        cases.append((ne, po))
+        cases = exactness_cases(gen, m)
         for ne, po in cases:
             a = validate(ne, po)
             f = brute_volume(a.ne, a.po)
@@ -223,6 +243,47 @@ class TestExactness:
         assert brute_volume(a.ne, a.po, 0.9 * sum(a.ne)) == 0.0
         short = IntervalAssignment(tuple("abc"), (0.0,) * 3, (0.3,) * 3)
         assert freedom(short) == 0.0 == brute_volume(short.ne, short.po)
+
+
+class TestSweep:
+    @pytest.mark.parametrize("m", range(2, 13))
+    def test_equals_brute_force_at_several_cuts(self, m):
+        gen = SplitMix64(7100 + m)
+        for ne, po in exactness_cases(gen, m):
+            s_ne, s_po = math.fsum(ne), math.fsum(po)
+            masses = [
+                1.0,
+                1.0,  # two equal cuts, as measure --q 1 asks
+                s_ne + (1.0 - s_ne) * gen.random(),
+                0.9 * s_ne - 0.01,  # a cut below 0
+                s_ne,  # a cut at or near 0
+                s_po + 0.5 * gen.random(),  # a cut above the sum of the widths
+            ]
+            # exponent M - 1 is the volume; exponent M is each half of
+            # sensitivity's split, which is not 0 above the sum of the widths
+            for n in (m - 1, m):
+                sums, scale = sweep_at(ne, po, masses, n)
+                brute = {x: brute_volume(ne, po, x, n) for x in set(masses)}
+                assert [s / scale for s in sums] == [brute[x] for x in masses]
+
+    @pytest.mark.parametrize("m", range(2, 13))
+    def test_measure_zero_regions_sum_to_exactly_zero(self, m):
+        # _box_simplex_volume returns 0.0 for these without sweeping them;
+        # the exact sums must be 0 as well
+        gen = SplitMix64(7200 + m)
+        cases = exactness_cases(gen, m)
+        for ne, po in cases:
+            s_ne, s_po = math.fsum(ne), math.fsum(po)
+            # at or beyond sum(po), and at or below sum(ne): fsum is correctly
+            # rounded, so one step past it lies past the exact sum
+            masses = [math.nextafter(s_po, math.inf), s_po + 0.25,
+                      math.nextafter(s_ne, -math.inf), 0.5 * s_ne - 0.01]
+            assert sweep_at(ne, po, masses, m - 1)[0] == [0] * 4
+            assert _box_simplex_volume(ne, po, masses) == [0.0] * 4
+        ne, po = cases[3]  # a zero width: every mass
+        masses = [0.25, 0.5, 1.0, 1.0]
+        assert sweep_at(ne, po, masses, m - 1)[0] == [0] * 4
+        assert _box_simplex_volume(ne, po, masses) == [0.0] * 4
 
 
 class TestNormedFreedom:
@@ -318,6 +379,46 @@ class TestMeasureReport:
         rep = measure_report(validate([0, 0], [1, 1]), q=0.5)
         assert rep.q == 0.5
         assert rep.conditional_freedom == pytest.approx(0.5, abs=1e-12)
+
+    def test_one_sweep_equals_separate_calls(self):
+        zero_width = empty_at_q = 0
+        for seed in range(351):
+            gen = SplitMix64(7300 + seed)
+            m = 2 + seed % 13
+            a = random_valid_assignment(gen, m)
+            if seed % 7 == 0:  # a point-valued option: F = 0
+                k = int(gen.random() * m)
+                po = list(a.po)
+                po[k] = a.ne[k]
+                a = IntervalAssignment(a.options, a.ne, tuple(po))
+                zero_width += 1
+            # q = 1 (two equal cuts), q below sum(ne) (an empty slice), any q
+            q = [1.0, 0.5 * math.fsum(a.ne), 1.0 - gen.random()][seed % 3] or 0.5
+            empty_at_q += q <= math.fsum(a.ne)
+            rep = measure_report(a, q)
+            assert rep.freedom == freedom(a), f"seed {seed}"
+            assert rep.conditional_freedom == freedom_conditional(a, q), f"seed {seed}"
+            assert rep.normed_freedom == normed_freedom(a)
+            assert rep.q == q
+        assert zero_width and empty_at_q
+
+    def test_reports_the_q_it_used(self):
+        a = validate([0, 0, 0], [1, 1, 1])
+        rep = measure_report(a, q=np.float32(0.9))
+        assert type(rep.q) is float and rep.q == 0.8999999761581421
+        assert rep.conditional_freedom == freedom_conditional(a, 0.8999999761581421)
+        rep = measure_report(a, q=1)
+        assert type(rep.q) is float and rep.q == 1.0
+        assert measure_report(a).q is None
+
+    def test_errors_keep_their_order(self):
+        big = validate([0.0] * 25, [0.2] * 25)
+        with pytest.raises(CapExceeded, match=r"^25 options exceed the closed-form cap"):
+            measure_report(big, 1.5)
+        a = validate([0, 0, 0], [1, 1, 1])
+        for q in (0.0, 1.5):
+            with pytest.raises(DomainError, match=rf"^q = {q} outside \(0, 1\]$"):
+                measure_report(a, q)
 
 
 def brute_scan(a: IntervalAssignment) -> SubsetScan:

@@ -5,8 +5,10 @@ from __future__ import annotations
 import pytest
 
 from simplexfreedom import (
+    CapExceeded,
     DomainError,
     IndexOutOfRange,
+    IntervalAssignment,
     InvalidPerturbation,
     NE_DOMINATES,
     NotVacuous,
@@ -14,6 +16,7 @@ from simplexfreedom import (
     SplitMix64,
     TIE,
     dominance_condition,
+    freedom,
     impact_compare,
     imposition_compare,
     validate,
@@ -194,3 +197,126 @@ class TestImpositionCompare:
             if rep.verdict != expected:
                 violations.append((ne, po, k, eps, rep))
         assert not violations, f"first violation: {violations[0]}"
+
+
+def separate_impact(a, k, delta, force_cap=False):
+    """impact_compare's (F(a), F(a_po), F(a_ne)) from three freedom calls."""
+    po2 = list(a.po)
+    po2[k] = max(po2[k] - delta, a.ne[k])
+    ne2 = list(a.ne)
+    ne2[k] = min(ne2[k] + delta, a.po[k])
+    return (
+        freedom(a, force_cap=force_cap),
+        freedom(validate(a.ne, po2, a.options), force_cap=force_cap),
+        freedom(validate(ne2, a.po, a.options), force_cap=force_cap),
+    )
+
+
+def separate_imposition(a, k, eps, force_cap=False):
+    """imposition_compare's (F(a), F(a_po), F(a_ne)) from three freedom calls."""
+    po2 = list(a.po)
+    po2[k] = 1.0 - eps
+    ne2 = list(a.ne)
+    ne2[k] = eps
+    return (
+        freedom(a, force_cap=force_cap),
+        freedom(IntervalAssignment(a.options, a.ne, tuple(po2)), force_cap=force_cap),
+        freedom(IntervalAssignment(a.options, tuple(ne2), a.po), force_cap=force_cap),
+    )
+
+
+def assert_losses(rep, f0, f_po, f_ne):
+    assert rep.loss_from_po == max(0.0, f0 - f_po)
+    assert rep.loss_from_ne == max(0.0, f0 - f_ne)
+
+
+class TestSharedSweep:
+    """The three freedoms of a report come from one sweep over the other
+    M - 1 options; they must be bit for bit the separate freedom calls."""
+
+    def test_impact_equals_separate_freedom_calls(self):
+        counts = {"zero_delta": 0, "absorbed": 0, "moved": 0}
+        for seed in range(338):
+            gen = SplitMix64(7400 + seed)
+            m = 2 + seed % 13
+            a = random_valid_assignment(gen, m, tight=seed % 2 == 0)
+            k = int(gen.random() * m)
+            room = min(a.po[k] - a.ne[k], sum(a.po) - 1.0, 1.0 - sum(a.ne))
+            delta = 0.0 if seed % 5 == 0 else 0.999 * max(room, 0.0) * gen.random()
+            f0, f_po, f_ne = separate_impact(a, k, delta)
+            rep = impact_compare(a, k, delta)
+            assert_losses(rep, f0, f_po, f_ne)
+            counts["zero_delta"] += delta == 0.0
+            # a slack bound absorbs the cut: a loss of exactly 0
+            counts["absorbed"] += delta > 0.0 and f0 > 0.0 and f_po == f0
+            counts["moved"] += f_po != f0 and f_ne != f0
+        assert all(counts.values()), counts
+
+    def test_imposition_equals_separate_freedom_calls(self):
+        # either imposition may empty the region: sum(po) <= 1 or sum(ne) >= 1
+        annihilated = {"po": 0, "ne": 0}
+        for seed in range(338):
+            gen = SplitMix64(7800 + seed)
+            m = 2 + seed % 13
+            k = int(gen.random() * m)
+            ne, po = [0.0] * m, [1.0] * m
+            for j in range(m):
+                if j != k:
+                    po[j] = 0.02 + 0.98 * gen.random()
+                    ne[j] = po[j] * gen.random()
+            s = sum(ne)
+            if s > 0.95:
+                ne = [x * 0.9 / s for x in ne]
+            a = validate(ne, po)
+            eps = 0.01 + 0.98 * gen.random()
+            f0, f_po, f_ne = separate_imposition(a, k, eps)
+            assert_losses(imposition_compare(a, k, eps), f0, f_po, f_ne)
+            annihilated["po"] += f0 > 0.0 and f_po == 0.0
+            annihilated["ne"] += f0 > 0.0 and f_ne == 0.0
+        assert all(annihilated.values()), annihilated
+
+    def test_zero_widths_and_cap_override(self):
+        # a point-valued option besides k: every freedom is 0
+        a = validate([0.0, 0.3, 0.0], [1.0, 0.3, 1.0])
+        rep = impact_compare(a, 0, 0.1)
+        assert rep.loss_from_po == rep.loss_from_ne == 0.0
+        # option k itself pinned by the perturbation: F(a_ne) = 0
+        a = validate([0.2, 0.0, 0.0], [0.4, 1.0, 1.0])
+        assert_losses(impact_compare(a, 0, 0.2), *separate_impact(a, 0, 0.2))
+        # beyond the cap when forced: equal widths keep it fast
+        big = validate([0.0] * 25, [0.2] * 25)
+        rep = impact_compare(big, 3, 0.05, force_cap=True)
+        assert_losses(rep, *separate_impact(big, 3, 0.05, force_cap=True))
+        vac = validate([0.0] * 25, [0.1] * 24 + [1.0])
+        rep = imposition_compare(vac, 24, 0.3, force_cap=True)
+        assert_losses(rep, *separate_imposition(vac, 24, 0.3, force_cap=True))
+
+
+CAP = (r"^25 options exceed the closed-form cap of 24 options "
+       r"\(pass force_cap=True to override\)$")
+
+
+class TestErrorOrder:
+    """Each check runs before the freedom evaluation, in the same order."""
+
+    def test_impact(self):
+        a = validate([0.0] * 25, [0.2] * 25)
+        with pytest.raises(InvalidPerturbation,
+                           match=r"^po\[0\] - 0.3 falls below ne\[0\] = 0$"):
+            impact_compare(a, 0, 0.3)
+        with pytest.raises(CapExceeded, match=CAP):
+            impact_compare(a, 0, 0.01)
+        with pytest.raises(InvalidPerturbation, match=r"^perturbed assignment invalid: "
+                           r"Infeasible: sum\(po\) = 0.95 is below 1$"):
+            impact_compare(validate([0.2, 0.3], [0.5, 0.7]), 0, 0.25)
+
+    def test_imposition(self):
+        a = validate([0.0] * 25, [0.2] * 25)
+        with pytest.raises(NotVacuous, match=r"^coordinate 0 has ne = 0, po = 0.2; "
+                           r"imposition needs ne = 0 and po = 1$"):
+            imposition_compare(a, 0, 0.3)
+        vac = validate([0.0] * 25, [0.2] * 24 + [1.0])
+        with pytest.raises(DomainError, match=r"^eps = 1.3 outside \(0, 1\)$"):
+            imposition_compare(vac, 24, 1.3)
+        with pytest.raises(CapExceeded, match=CAP):
+            imposition_compare(vac, 24, 0.3)
