@@ -306,6 +306,8 @@ def _check_flags(cfg: RunConfig) -> str | None:
         return "--samples must be a positive integer"
     if cfg.q is not None and not (0.0 < cfg.q <= 1.0):
         return "--q must lie in (0, 1]"
+    if cfg.delta is not None and not math.isfinite(cfg.delta):
+        return "--delta must be finite"
     if cfg.delta is not None and cfg.delta < 0.0:
         return "--delta must be nonnegative"
     if cfg.eps is not None and not (0.0 < cfg.eps < 1.0):

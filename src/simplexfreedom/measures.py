@@ -10,12 +10,14 @@ It is evaluated exactly, on integers, by meet in the middle over two halves
 of the options (about 2^(M/2) subsets each, not 2^M), and rounded once to
 the nearest float.  So F is 1 exactly for the vacuous assignment and 0
 exactly when the region has no volume, as when an interval collapses to a
-point.  One sweep serves several cuts (the 1 above, or a mass q) of the
-same bounds: measure_report with q enumerates the subsets once for F and
-the conditional freedom, and sensitivity's three F values share one
-enumeration over the other M - 1 options.  The rival measures A (anxiety
-ordering over sorted possibilities) and I (a Hartley-style bit count) use
-only the possibility vector and are insensitive to distinctions F resolves.
+point.  One split sweep serves every closed-form value: splitting each
+subset on whether it holds one option k leaves a sum G over the other
+M - 1 options, and each value, at any mass and with any bounds for k, is a
+difference of two G values.  So F, the conditional freedom at a mass q and
+sensitivity's three F values take one enumeration per request.  The rival
+measures A (anxiety ordering over sorted possibilities) and I (a
+Hartley-style bit count) use only the possibility vector and are
+insensitive to distinctions F resolves.
 """
 
 from __future__ import annotations
@@ -42,11 +44,13 @@ def _check_cap(m: int, force_cap: bool) -> None:
         )
 
 
-def _require_measurable(a: IntervalAssignment) -> None:
+def _require_measurable(a: IntervalAssignment, force_cap: bool) -> None:
+    """The closed form's guards, in this order: 2 options, then the cap."""
     if a.m < 2:
         raise ValidationError(
             [Violation("TooFewOptions", "the measure needs at least 2 options")]
         )
+    _check_cap(a.m, force_cap)
 
 
 def _scaled(values: list[float]) -> tuple[list[int], int]:
@@ -127,28 +131,41 @@ def _sweep(widths: list[int], cuts: list[int], exponent: int) -> list[int]:
     return totals
 
 
-def _box_simplex_volume(
-    ne: list[float], po: list[float], masses: list[float]
+def _volumes(
+    ne: list[float], po: list[float], k: int, terms: list[tuple[float, float, float]]
 ) -> list[float]:
-    """Volume of {p >= 0, sum(p) = mass, ne <= p <= po} at each mass,
-    rescaled so the unconstrained mass-1 simplex has volume 1, each
-    correctly rounded.
+    """For each term (t, n, p), the volume of {p >= 0, sum(p) = t,
+    ne <= p <= po} with option k's bounds replaced by [n, p], rescaled so the
+    unconstrained mass-1 simplex has volume 1, each correctly rounded.
 
-    Every float is an integer over a power of two, so scaling all bounds and
-    masses by one 2^e makes each inclusion-exclusion sum exact on Python
-    integers: the sum at cut mass - sum(ne) and exponent len(ne) - 1 (see
-    _sweep), one sweep for all masses, each divided once.  A mass outside
-    (sum(ne), sum(po)) or a zero width leaves an empty or measure-zero
-    region, whose exact sum is 0; it is not swept.  Total for any bounds.
+    Splitting every subset T on whether it holds k gives the volume as
+    G(t - n) - G(t - p), where G(x) sums (-1)^|T| *
+    max(0, x - sum_{i != k} ne_i - W_T)^(M-1) over the subsets T of the
+    other options.  Every float is an integer over a power of two, so
+    scaling all bounds and terms by one 2^e makes each G exact on Python
+    integers: one sweep (see _sweep) for every distinct cut, each
+    difference divided once.  A term with a zero width (k's own p <= n
+    included) or with t outside (sum(ne), sum(po)) leaves an empty or
+    measure-zero region, whose exact volume is 0; it is not swept.  Total
+    for any bounds.
     """
     m = len(ne)
-    ints, e = _scaled([*ne, *po, *masses])
+    ints, e = _scaled([*ne, *po, *(x for term in terms for x in term)])
     lo, hi = ints[:m], ints[m : 2 * m]
-    widths = [p - n for n, p in zip(lo, hi)]
-    cuts = [t - sum(lo) if sum(lo) < t < sum(hi) else 0 for t in ints[2 * m :]]
-    if min(widths) <= 0 or max(cuts) <= 0:
-        return [0.0] * len(masses)
-    return [s / (1 << (e * (m - 1))) for s in _sweep(widths, cuts, m - 1)]
+    del lo[k], hi[k]
+    widths = [b - a for a, b in zip(lo, hi)]
+    base, top = sum(lo), sum(hi)
+    live = min(widths) > 0
+    # each term's two cuts, or None where the region has measure zero
+    splits = [
+        (t - base - n, t - base - p) if live and n < p and base + n < t < top + p
+        else None
+        for t, n, p in zip(ints[2 * m :: 3], ints[2 * m + 1 :: 3], ints[2 * m + 2 :: 3])
+    ]
+    cuts = sorted({c for pair in splits if pair for c in pair})
+    g = dict(zip(cuts, _sweep(widths, cuts, m - 1))) if cuts else {}
+    scale = 1 << (e * (m - 1))
+    return [(g[pair[0]] - g[pair[1]]) / scale if pair else 0.0 for pair in splits]
 
 
 def _conditional_mass(q: float) -> float:
@@ -165,42 +182,8 @@ def freedom(a: IntervalAssignment, *, force_cap: bool = False) -> float:
     the exact value, unchanged.  Raises CapExceeded for more than OPTION_CAP
     options unless forced.
     """
-    _require_measurable(a)
-    _check_cap(a.m, force_cap)
-    return _box_simplex_volume(list(a.ne), list(a.po), [1.0])[0]
-
-
-def _freedoms_with(
-    a: IntervalAssignment,
-    k: int,
-    bounds: list[tuple[float, float]],
-    *,
-    force_cap: bool,
-) -> list[float]:
-    """freedom(a) with option k's bounds (ne_k, po_k) replaced by each pair
-    in turn, from one sweep over the other M - 1 options.
-
-    Splitting every subset T on whether it holds k gives
-    F = G(1 - ne_k) - G(1 - po_k), where G(x) sums (-1)^|T| *
-    max(0, x - sum_{i != k} ne_i - W_T)^(M-1) over the subsets T of the
-    other options.  The G values are exact integers on one scale, so each F
-    is freedom's exact rational, rounded once: bit for bit freedom's value.
-    """
-    _require_measurable(a)
-    _check_cap(a.m, force_cap)
-    m = a.m
-    ne = [x for i, x in enumerate(a.ne) if i != k]
-    po = [x for i, x in enumerate(a.po) if i != k]
-    ints, e = _scaled([*ne, *po, 1.0, *(x for pair in bounds for x in pair)])
-    lo, hi, ks = ints[: m - 1], ints[m - 1 : 2 * m - 2], ints[2 * m - 1 :]
-    widths = [p - n for n, p in zip(lo, hi)]
-    if min(widths) <= 0:
-        return [0.0] * len(bounds)  # G is 0: a zero width cancels every term
-    base = ints[2 * m - 2] - sum(lo)
-    cuts = sorted({base - x for x in ks})  # one cut per distinct bound of k
-    g = dict(zip(cuts, _sweep(widths, cuts, m - 1)))
-    scale = 1 << (e * (m - 1))
-    return [(g[base - n] - g[base - p]) / scale for n, p in zip(ks[::2], ks[1::2])]
+    _require_measurable(a, force_cap)
+    return _volumes(list(a.ne), list(a.po), 0, [(1.0, a.ne[0], a.po[0])])[0]
 
 
 def freedom_conditional(
@@ -217,10 +200,9 @@ def freedom_conditional(
     This is a volume, not a fraction of the sub-simplex (no division by
     q^(K-1)); at q = 1 it coincides with :func:`freedom`.
     """
-    _require_measurable(a)
-    _check_cap(a.m, force_cap)
+    _require_measurable(a, force_cap)
     q = _conditional_mass(q)
-    return _box_simplex_volume(list(a.ne), list(a.po), [q])[0]
+    return _volumes(list(a.ne), list(a.po), 0, [(q, a.ne[0], a.po[0])])[0]
 
 
 def _normed(f: float, m: int) -> float:
@@ -287,10 +269,10 @@ def measure_report(
     supplied the unnormalized conditional freedom at mass q is included,
     from the same sweep as F, and the report holds q as the float used.
     """
-    _require_measurable(a)
-    _check_cap(a.m, force_cap)
+    _require_measurable(a, force_cap)
     masses = [1.0] if q is None else [1.0, _conditional_mass(q)]
-    f, *cond = _box_simplex_volume(list(a.ne), list(a.po), masses)
+    terms = [(t, a.ne[0], a.po[0]) for t in masses]
+    f, *cond = _volumes(list(a.ne), list(a.po), 0, terms)
     return MeasureReport(
         freedom=f,
         yager_ambiguity=yager_ambiguity(a),
@@ -350,7 +332,7 @@ def subset_scan(a: IntervalAssignment, *, force_cap: bool = False) -> SubsetScan
                 q = max(q, 0.0)
             else:
                 ne, po = [a.ne[i] for i in kept], [a.po[i] for i in kept]
-                value = _box_simplex_volume(ne, po, [q])[0]
+                value = _volumes(ne, po, 0, [(q, ne[0], po[0])])[0]
             entries.append(
                 SubsetEntry(
                     indices=tuple(kept),

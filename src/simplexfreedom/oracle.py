@@ -66,6 +66,7 @@ from typing import TYPE_CHECKING
 
 from .core import IntervalAssignment
 from .errors import DomainError, LowAcceptanceWarning, WrongDimension
+from .measures import _conditional_mass
 
 if TYPE_CHECKING:
     import numpy as np
@@ -348,6 +349,13 @@ def _ipow(x: float, n: int) -> float:
     return r
 
 
+def _box_tests(a: IntervalAssignment) -> list:
+    """The box ne_i <= p_i <= po_i as one test per spacing, for M >= 2."""
+    if a.m < 2:
+        raise DomainError("need at least 2 options")
+    return [((i,), ne, po) for i, (ne, po) in enumerate(zip(a.ne, a.po))]
+
+
 def mc_freedom(a: IntervalAssignment, samples: int, seed: int) -> MCEstimate:
     """Rejection estimate of the freedom volume fraction.
 
@@ -357,9 +365,7 @@ def mc_freedom(a: IntervalAssignment, samples: int, seed: int) -> MCEstimate:
     LowAcceptanceWarning when fewer than 100 samples are accepted.
     """
     samples = _check_samples(samples)
-    if a.m < 2:
-        raise DomainError("need at least 2 options")
-    tests = [((i,), ne, po) for i, (ne, po) in enumerate(zip(a.ne, a.po))]
+    tests = _box_tests(a)
     return _estimate(a.m - 1, samples, seed, tests)
 
 
@@ -374,12 +380,8 @@ def mc_freedom_conditional(
     of the acceptance fraction scaled by the same factor.
     """
     samples = _check_samples(samples)
-    if a.m < 2:
-        raise DomainError("need at least 2 options")
-    q = float(q)
-    if not (0.0 < q <= 1.0):
-        raise DomainError(f"q = {q!r} outside (0, 1]")
-    tests = [((i,), ne, po) for i, (ne, po) in enumerate(zip(a.ne, a.po))]
+    tests = _box_tests(a)
+    q = _conditional_mass(q)
     return _estimate(a.m - 1, samples, seed, tests, q)
 
 

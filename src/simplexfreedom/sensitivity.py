@@ -27,7 +27,7 @@ from .errors import (
     NotVacuous,
     ValidationError,
 )
-from .measures import _freedoms_with
+from .measures import _require_measurable, _volumes
 
 PO_DOMINATES = "po_dominates"
 NE_DOMINATES = "ne_dominates"
@@ -82,7 +82,7 @@ def impact_compare(
     _check_index(a, k)
     delta = float(delta)
     if delta < 0.0 or not math.isfinite(delta):
-        raise DomainError(f"delta = {delta!r} must be nonnegative")
+        raise DomainError(f"delta = {delta!r} must be finite and nonnegative")
     if a.po[k] - delta < a.ne[k] - TOLERANCE:
         raise InvalidPerturbation(
             f"po[{k}] - {delta:.12g} falls below ne[{k}] = {a.ne[k]:.12g}"
@@ -113,9 +113,9 @@ def _report(
 ) -> SensitivityReport:
     """Losses of a_po and a_ne, which differ from a only at option k, with
     all three freedoms from one sweep over the other options."""
-    f0, f_po, f_ne = _freedoms_with(
-        a, k, [(b.ne[k], b.po[k]) for b in (a, a_po, a_ne)], force_cap=force_cap
-    )
+    _require_measurable(a, force_cap)
+    terms = [(1.0, b.ne[k], b.po[k]) for b in (a, a_po, a_ne)]
+    f0, f_po, f_ne = _volumes(list(a.ne), list(a.po), k, terms)
     loss_po = max(0.0, f0 - f_po)
     loss_ne = max(0.0, f0 - f_ne)
     return SensitivityReport(

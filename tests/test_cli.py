@@ -6,6 +6,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -416,14 +417,18 @@ class TestExitCodes:
             ({"command": "frobnicate"}, "unknown command 'frobnicate'"),
             ({"command": "sensitivity", "index": 1, "delta": -0.1},
              "--delta must be nonnegative"),
+            ({"command": "sensitivity", "index": 1, "delta": math.nan},
+             "--delta must be finite"),
+            ({"command": "sensitivity", "index": 1, "delta": math.inf},
+             "--delta must be finite"),
             ({"command": "sensitivity", "index": 1, "eps": 1.0},
              "--eps must lie in (0, 1)"),
             ({"command": "sensitivity", "index": 0},
              "--index is 1-based and must be >= 1"),
             ({"command": "measure", "format": "xml"}, "--format must be json or csv"),
         ],
-        ids=["unknown-command", "negative-delta", "eps-out-of-range", "index-zero",
-             "bad-format"],
+        ids=["unknown-command", "negative-delta", "nan-delta", "inf-delta",
+             "eps-out-of-range", "index-zero", "bad-format"],
     )
     def test_run_usage_error_exit_3(self, tmp_path, capsys, flags, message):
         path = write(tmp_path, "a.json", EX1_CASE1)

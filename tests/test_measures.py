@@ -33,7 +33,7 @@ from simplexfreedom import (
     validate,
     yager_ambiguity,
 )
-from simplexfreedom.measures import _box_simplex_volume, _scaled, _sweep
+from simplexfreedom.measures import _scaled, _sweep, _volumes
 
 from conftest import assert_within_4se, random_valid_assignment
 
@@ -268,8 +268,8 @@ class TestSweep:
 
     @pytest.mark.parametrize("m", range(2, 13))
     def test_measure_zero_regions_sum_to_exactly_zero(self, m):
-        # _box_simplex_volume returns 0.0 for these without sweeping them;
-        # the exact sums must be 0 as well
+        # _volumes returns 0.0 for these without sweeping them, whichever
+        # option it splits on; the exact sums must be 0 as well
         gen = SplitMix64(7200 + m)
         cases = exactness_cases(gen, m)
         for ne, po in cases:
@@ -279,11 +279,61 @@ class TestSweep:
             masses = [math.nextafter(s_po, math.inf), s_po + 0.25,
                       math.nextafter(s_ne, -math.inf), 0.5 * s_ne - 0.01]
             assert sweep_at(ne, po, masses, m - 1)[0] == [0] * 4
-            assert _box_simplex_volume(ne, po, masses) == [0.0] * 4
+            for k in range(m):
+                terms = [(t, ne[k], po[k]) for t in masses]
+                assert _volumes(ne, po, k, terms) == [0.0] * 4, f"k = {k}"
         ne, po = cases[3]  # a zero width: every mass
         masses = [0.25, 0.5, 1.0, 1.0]
         assert sweep_at(ne, po, masses, m - 1)[0] == [0] * 4
-        assert _box_simplex_volume(ne, po, masses) == [0.0] * 4
+        for k in range(m):
+            terms = [(t, ne[k], po[k]) for t in masses]
+            assert _volumes(ne, po, k, terms) == [0.0] * 4, f"k = {k}"
+
+
+class TestVolumes:
+    @pytest.mark.parametrize("m", range(2, 13))
+    def test_every_split_equals_brute_force(self, m):
+        # splitting on any option k gives the same float, the Fraction sum
+        # rounded once, at any mass and with k's bounds replaced
+        gen = SplitMix64(7400 + m)
+        for ne, po in exactness_cases(gen, m):
+            s_ne = math.fsum(ne)
+            masses = [1.0, s_ne + (1.0 - s_ne) * gen.random(), 1.0 - 0.9 * gen.random()]
+            want = [brute_volume(ne, po, t) for t in masses]
+            for k in range(m):
+                terms = [(t, ne[k], po[k]) for t in masses]
+                assert _volumes(ne, po, k, terms) == want, f"k = {k}"
+            # one option narrowed from either side, as sensitivity asks
+            k = int(gen.random() * m)
+            cut = ne[k] + (po[k] - ne[k]) * gen.random()
+            narrowed = [(1.0, ne[k], cut), (1.0, cut, po[k])]
+            assert _volumes(ne, po, k, narrowed) == [
+                brute_volume([*ne[:k], n, *ne[k + 1:]], [*po[:k], p, *po[k + 1:]])
+                for _, n, p in narrowed
+            ]
+
+    def test_measure_zero_terms_are_not_swept(self, monkeypatch):
+        def no_sweep(*args):
+            raise AssertionError("a measure-zero term reached _sweep")
+
+        monkeypatch.setattr("simplexfreedom.measures._sweep", no_sweep)
+        ne, po = [0.125, 0.25, 0.0], [0.5, 0.625, 0.75]  # sums 0.375 and 1.875
+        for k in range(3):
+            terms = [
+                (1.0, ne[k], ne[k]),  # option k point-valued
+                (1.0, po[k], ne[k]),  # option k's bounds reversed
+                (0.375, ne[k], po[k]),  # the mass at sum(ne)
+                (0.25, ne[k], po[k]),  # below it
+                (1.875, ne[k], po[k]),  # the mass at sum(po)
+                (2.0, ne[k], po[k]),  # above it
+            ]
+            assert _volumes(ne, po, k, terms) == [0.0] * 6, f"k = {k}"
+        # a zero width among the other options
+        assert _volumes(ne, [0.125, 0.625, 0.75], 1, [(1.0, 0.25, 0.625)]) == [0.0]
+        # a point-valued option 0, which freedom and its kin split on
+        a = validate([0.25, 0.0, 0.0], [0.25, 1.0, 1.0])
+        assert freedom(a) == 0.0
+        assert measure_report(a, 0.5).conditional_freedom == 0.0
 
 
 class TestNormedFreedom:

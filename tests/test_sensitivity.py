@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from simplexfreedom import (
@@ -96,8 +98,9 @@ class TestImpactCompare:
 
     def test_negative_delta(self):
         a = validate([0, 0], [1, 1])
-        with pytest.raises(DomainError):
-            impact_compare(a, 0, -0.1)
+        for delta in (-0.1, math.inf, math.nan):
+            with pytest.raises(DomainError, match=r"must be finite and nonnegative$"):
+                impact_compare(a, 0, delta)
 
     def test_losses_nonnegative(self, rng):
         for _ in range(50):
