@@ -41,9 +41,7 @@ class RunConfig:
 def _round12(obj):
     """Round every float to 12 significant digits, recursively."""
     if isinstance(obj, float):
-        if math.isfinite(obj):
-            return float(f"{obj:.12g}")
-        return obj
+        return float(f"{obj:.12g}")
     if isinstance(obj, dict):
         return {k: _round12(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -123,6 +121,22 @@ def _load_json(data: bytes | str):
         ) from exc
 
 
+def _sample(estimator, *args):
+    """Call a sampling estimator; return its estimate and, when it raised a
+    LowAcceptanceWarning, that warning as one line of text (else None).
+    Other warnings pass through."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", LowAcceptanceWarning)
+        est = estimator(*args)
+    warning = None
+    for w in caught:
+        if issubclass(w.category, LowAcceptanceWarning):
+            warning = f"{w.category.__name__}: {w.message}"
+        else:
+            warnings.showwarning(w.message, w.category, w.filename, w.lineno)
+    return est, warning
+
+
 # ---------------------------------------------------------------------------
 # command handlers: each returns its results dict
 
@@ -163,7 +177,9 @@ def _cmd_measure(cfg: RunConfig, data: bytes):
 def _cmd_verify(cfg: RunConfig, data: bytes):
     a = parse_assignment(data)
     f = measures.freedom(a, force_cap=cfg.force_cap)
-    est = oracle.mc_freedom(a, cfg.samples, cfg.seed)
+    est, warning = _sample(oracle.mc_freedom, a, cfg.samples, cfg.seed)
+    if warning is not None:
+        sys.stderr.write(warning + "\n")
     diff = abs(f - est.mean)
     within = diff <= 4.0 * est.std_error
     return {
@@ -202,15 +218,7 @@ def _cmd_sensitivity(cfg: RunConfig, data: bytes):
         delta = 0.05 if cfg.delta is None else cfg.delta
         rep = sensitivity.impact_compare(a, k, delta, force_cap=cfg.force_cap)
         mode = "perturbation"
-    return {
-        "mode": mode,
-        "index": rep.index + 1,
-        "delta": rep.delta,
-        "loss_from_po": rep.loss_from_po,
-        "loss_from_ne": rep.loss_from_ne,
-        "condition_holds": rep.condition_holds,
-        "verdict": rep.verdict,
-    }
+    return {"mode": mode, **vars(rep), "index": rep.index + 1}
 
 
 def _cmd_crosstab(cfg: RunConfig, data: bytes):
@@ -218,25 +226,20 @@ def _cmd_crosstab(cfg: RunConfig, data: bytes):
     rows, cols = table.row_marginals, table.col_marginals
     k, m = table.shape
     cells = []
-    case2_count = 0
     for i in range(k):
         row_out = []
         for j in range(m):
-            b = ct.cell_bounds(rows.ne[i], rows.po[i], cols.ne[j], cols.po[j])
-            cc = ct.classify_cell(rows.ne[i], rows.po[i], cols.ne[j], cols.po[j])
-            if cc.case_tag == ct.CASE2:
-                case2_count += 1
+            margins = (rows.ne[i], rows.po[i], cols.ne[j], cols.po[j])
+            cc = ct.classify_cell(*margins)
             row_out.append(
                 {
-                    "ne_lower": b.ne_lower,
-                    "ne_upper": b.ne_upper,
-                    "po_lower": b.po_lower,
-                    "po_upper": b.po_upper,
+                    **vars(ct.cell_bounds(*margins)),
                     "case": cc.case_tag,
                     "d_maximizing": cc.d_maximizing,
                 }
             )
         cells.append(row_out)
+    case2_count = sum(c["case"] == ct.CASE2 for row in cells for c in row)
     results = {
         "rows": k,
         "cols": m,
@@ -246,13 +249,11 @@ def _cmd_crosstab(cfg: RunConfig, data: bytes):
         "case2_fraction": case2_count / (k * m),
     }
     try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", LowAcceptanceWarning)
-            est = ct.mc_joint_freedom(table, cfg.samples, cfg.seed)
+        est, warning = _sample(ct.mc_joint_freedom, table, cfg.samples, cfg.seed)
         results["joint_freedom"] = {
             "mean": est.mean,
             "std_error": est.std_error,
-            "low_acceptance": est.accepted < oracle.MIN_ACCEPTED,
+            "low_acceptance": warning is not None,
         }
     except TooManyCells as exc:
         results["joint_freedom"] = None
@@ -279,11 +280,7 @@ def _cmd_crosstab(cfg: RunConfig, data: bytes):
 
 def _cmd_region(cfg: RunConfig, data: bytes):
     a = parse_assignment(data)
-    poly = oracle.region_polygon(a)
-    return {
-        "vertices": [[x, y] for x, y in poly.vertices],
-        "area_fraction": poly.area_fraction,
-    }
+    return vars(oracle.region_polygon(a))
 
 
 # the command table: name -> (handler, one-line help)
@@ -372,15 +369,12 @@ def _emit_csv(cfg: RunConfig, report: dict) -> None:
         dep = res.get("dependency")
         for i in range(res["rows"]):
             for j in range(res["cols"]):
-                cell = res["cells"][i][j]
                 rows.append(
                     {
                         **head,
                         "row": i + 1,
                         "col": j + 1,
-                        **{f: cell[f] for f in (
-                            "ne_lower", "ne_upper", "po_lower", "po_upper",
-                            "case", "d_maximizing")},
+                        **res["cells"][i][j],
                         "dependency": dep[i][j] if dep is not None else None,
                         "case1_count": len(res["case1_census"]),
                         "case2_count": res["case2_count"],

@@ -38,9 +38,12 @@ class IntervalAssignment:
     Construction checks only per-option structure (matching lengths, values
     in [0,1], ne_i <= po_i); values within TOLERANCE of those constraints are
     snapped onto them.  Use :func:`validate` for the full feasibility contract
-    (at least two options, sum(ne) <= 1 <= sum(po)).  The relaxed constructor
-    exists so that conditional sub-assignments (mass below 1) and degenerate
-    cross-table margins remain representable.
+    (at least two options, sum(ne) <= 1 <= sum(po)).  Inside the package
+    only :func:`validate` and :func:`tighten` construct one; the relaxed
+    constructor serves callers whose bounds do not fit that contract: the
+    sub-assignment passed to ``freedom_conditional`` or
+    ``mc_freedom_conditional`` (sum(po) may be below 1) and a one-option
+    cross-table margin.
     """
 
     options: tuple[str, ...]

@@ -206,9 +206,7 @@ def freedom_conditional(
 
 
 def _normed(f: float, m: int) -> float:
-    """f ** (1/(m-1)), returning f itself at m = 2 and at 0 and 1."""
-    if m == 2 or f == 0.0 or f == 1.0:
-        return f
+    """f ** (1/(m-1)); exactly f at m = 2 and at 0 and 1."""
     return f ** (1.0 / (m - 1))
 
 

@@ -88,7 +88,7 @@ _ONE = 1 << 53
 # Only the order of evaluation depends on it; estimates do not.
 _SUB = 1 << 15
 # An estimate from fewer accepted rows than this is noisy: the estimators
-# warn, and the crosstab command reports it as low_acceptance.
+# warn, verify prints the warning and crosstab reports it as low_acceptance.
 MIN_ACCEPTED = 100
 
 

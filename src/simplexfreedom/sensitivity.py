@@ -17,7 +17,7 @@ the condition, so reports carry the measured losses rather than trusting it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .core import TOLERANCE, IntervalAssignment, validate
 from .errors import (
@@ -91,36 +91,35 @@ def impact_compare(
         raise InvalidPerturbation(
             f"ne[{k}] + {delta:.12g} exceeds po[{k}] = {a.po[k]:.12g}"
         )
-    po2 = list(a.po)
-    po2[k] = max(po2[k] - delta, a.ne[k])
-    ne2 = list(a.ne)
-    ne2[k] = min(ne2[k] + delta, a.po[k])
-    try:
-        a_po = validate(a.ne, po2, a.options)
-        a_ne = validate(ne2, a.po, a.options)
+    po_k = max(a.po[k] - delta, a.ne[k])
+    ne_k = min(a.ne[k] + delta, a.po[k])
+    try:  # only as the feasibility check of both perturbed assignments
+        validate(a.ne, a.po[:k] + (po_k,) + a.po[k + 1 :], a.options)
+        validate(a.ne[:k] + (ne_k,) + a.ne[k + 1 :], a.po, a.options)
     except ValidationError as exc:
         raise InvalidPerturbation(f"perturbed assignment invalid: {exc}") from exc
-    return _report(a, k, delta, a_po, a_ne, force_cap)
+    return _report(a, k, delta, po_k, ne_k, force_cap)
 
 
 def _report(
     a: IntervalAssignment,
     k: int,
-    delta: float,
-    a_po: IntervalAssignment,
-    a_ne: IntervalAssignment,
+    size: float,
+    po_k: float,
+    ne_k: float,
     force_cap: bool,
 ) -> SensitivityReport:
-    """Losses of a_po and a_ne, which differ from a only at option k, with
-    all three freedoms from one sweep over the other options."""
+    """Losses from lowering option k's possibility to po_k and from raising
+    its necessity to ne_k, all three freedoms from one sweep over the other
+    options; a new bound past the other one leaves freedom exactly 0."""
     _require_measurable(a, force_cap)
-    terms = [(1.0, b.ne[k], b.po[k]) for b in (a, a_po, a_ne)]
+    terms = [(1.0, a.ne[k], a.po[k]), (1.0, a.ne[k], po_k), (1.0, ne_k, a.po[k])]
     f0, f_po, f_ne = _volumes(list(a.ne), list(a.po), k, terms)
     loss_po = max(0.0, f0 - f_po)
     loss_ne = max(0.0, f0 - f_ne)
     return SensitivityReport(
         index=k,
-        delta=delta,
+        delta=size,
         loss_from_po=loss_po,
         loss_from_ne=loss_ne,
         condition_holds=dominance_condition(a, k),
@@ -148,10 +147,4 @@ def imposition_compare(
             f"coordinate {k} has ne = {a.ne[k]:.12g}, po = {a.po[k]:.12g}; "
             "imposition needs ne = 0 and po = 1"
         )
-    po2 = list(a.po)
-    po2[k] = 1.0 - eps
-    ne2 = list(a.ne)
-    ne2[k] = eps
-    a_po = replace(a, po=tuple(po2))
-    a_ne = replace(a, ne=tuple(ne2))
-    return _report(a, k, eps, a_po, a_ne, force_cap)
+    return _report(a, k, eps, 1.0 - eps, eps, force_cap)

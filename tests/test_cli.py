@@ -14,6 +14,7 @@ from pathlib import Path
 
 import pytest
 
+from simplexfreedom import oracle
 from simplexfreedom.cli import (
     COMMANDS,
     RunConfig,
@@ -129,6 +130,26 @@ class TestCommands:
         assert rep["results"]["within_4se"] is True
         assert rep["results"]["closed_form"] == pytest.approx(0.25, abs=1e-12)
         assert rep["seed"] == 42 and rep["samples"] == 100_000
+
+    def test_verify_disagreement_exit_1(self, tmp_path, capsys, monkeypatch):
+        def far_off(a, samples, seed):
+            return oracle.MCEstimate(0.9, 0.01, samples, seed, 90)
+
+        monkeypatch.setattr(oracle, "mc_freedom", far_off)
+        path = write(tmp_path, "a.json", F3_QUARTER)
+        code, rep = run_json(capsys, RunConfig("verify", path, samples=100))
+        assert code == 1
+        assert rep["results"]["within_4se"] is False
+
+    def test_verify_low_acceptance_is_one_stderr_line(self, tmp_path, capsys):
+        doc = {"options": [{"ne": 0.0, "po": 0.13125}] * 8}
+        path = write(tmp_path, "a.json", doc)
+        for fmt in ("json", "csv"):
+            run(RunConfig("verify", path, samples=20_000, format=fmt))
+            assert capsys.readouterr().err == (
+                "LowAcceptanceWarning: only 0 of 20000 samples accepted; "
+                "the estimate is noisy\n"
+            )
 
     def test_subsets(self, tmp_path, capsys):
         doc = {

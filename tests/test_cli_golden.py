@@ -125,8 +125,6 @@ def _digest(command: str, tmp_path, monkeypatch, capsys) -> str:
     return h.hexdigest()
 
 
-# verify's point-valued input accepts no sample; its warning goes to stderr
-@pytest.mark.filterwarnings("ignore::simplexfreedom.errors.LowAcceptanceWarning")
 @pytest.mark.parametrize("command", DIGESTS)
 def test_reports_are_byte_identical(command, tmp_path, monkeypatch, capsys):
     assert _digest(command, tmp_path, monkeypatch, capsys) == DIGESTS[command]

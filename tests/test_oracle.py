@@ -603,6 +603,13 @@ class TestRegionPolygon:
         poly = region_polygon(validate([0.2, 0.3, 0.5], [0.2, 0.3, 0.5]))
         assert poly.area_fraction == pytest.approx(0.0, abs=1e-12)
 
+    def test_ring_closing_duplicate_dropped(self):
+        # the clipped ring ends on its first vertex; the segment keeps two
+        a = validate([0.1, 0.25, 0.5], [0.5691075034743235, 0.25, 0.6666666666666666])
+        poly = region_polygon(a)
+        assert poly.vertices == ((0.25, 0.25), (0.09999999999999999, 0.25))
+        assert poly.area_fraction == 0.0
+
     def test_empty_region(self):
         # relaxed instance with possibility sums below 1: nothing remains
         a = IntervalAssignment(("a", "b", "c"), (0, 0, 0), (0.2, 0.2, 0.2))

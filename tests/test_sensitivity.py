@@ -96,6 +96,13 @@ class TestImpactCompare:
         with pytest.raises(InvalidPerturbation):
             impact_compare(a, 0, 0.2)  # possibility sum would drop below 1
 
+    def test_ne_side_guard(self):
+        # rounding lets po - delta pass the po-side guard; the ne side rejects it
+        a = validate([0.44, 0.0], [0.79, 0.6])
+        with pytest.raises(InvalidPerturbation,
+                           match=r"^ne\[0\] \+ 0.350000001 exceeds po\[0\] = 0.79$"):
+            impact_compare(a, 0, 0.35000000100000006)
+
     def test_negative_delta(self):
         a = validate([0, 0], [1, 1])
         for delta in (-0.1, math.inf, math.nan):
