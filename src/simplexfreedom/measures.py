@@ -14,16 +14,22 @@ point.  One split sweep serves every closed-form value: splitting each
 subset on whether it holds one option k leaves a sum G over the other
 M - 1 options, and each value, at any mass and with any bounds for k, is a
 difference of two G values.  So F, the conditional freedom at a mass q and
-sensitivity's three F values take one enumeration per request.  The rival
-measures A (anxiety ordering over sorted possibilities) and I (a
-Hartley-style bit count) use only the possibility vector and are
-insensitive to distinctions F resolves.
+sensitivity's three F values take one enumeration per request.  The same
+region measured from the possibility vertex (p_i = po_i - y_i) is a sum of
+the same form over the same widths, at the mass sum(po) - t instead of
+t - sum(ne); each request sums from the vertex nearer its mass, since the
+enumeration is pruned at that distance.  F and the conditional split on the
+option whose width the fewest others share, which costs the equal-width
+grouping least.  The rival measures A (anxiety ordering over sorted
+possibilities) and I (a Hartley-style bit count) use only the possibility
+vector and are insensitive to distinctions F resolves.
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .core import TOLERANCE, IntervalAssignment
@@ -132,22 +138,33 @@ def _sweep(widths: list[int], cuts: list[int], exponent: int) -> list[int]:
 
 
 def _volumes(
-    ne: list[float], po: list[float], k: int, terms: list[tuple[float, float, float]]
+    ne: Sequence[float],
+    po: Sequence[float],
+    k: int,
+    terms: list[tuple[float, float, float]],
 ) -> list[float]:
     """For each term (t, n, p), the volume of {p >= 0, sum(p) = t,
     ne <= p <= po} with option k's bounds replaced by [n, p], rescaled so the
     unconstrained mass-1 simplex has volume 1, each correctly rounded.
 
-    Splitting every subset T on whether it holds k gives the volume as
-    G(t - n) - G(t - p), where G(x) sums (-1)^|T| *
-    max(0, x - sum_{i != k} ne_i - W_T)^(M-1) over the subsets T of the
-    other options.  Every float is an integer over a power of two, so
-    scaling all bounds and terms by one 2^e makes each G exact on Python
-    integers: one sweep (see _sweep) for every distinct cut, each
-    difference divided once.  A term with a zero width (k's own p <= n
-    included) or with t outside (sum(ne), sum(po)) leaves an empty or
-    measure-zero region, whose exact volume is 0; it is not swept.  Total
-    for any bounds.
+    Splitting every subset T on whether it holds k gives the volume as a
+    difference of two values of G(x), the sum of (-1)^|T| *
+    max(0, x - W_T)^(M-1) over the subsets T of the other options.  With
+    Sigma lo and Sigma hi the sums of their ne and po, there are two ways:
+
+        vol(t, n, p) = G(t - Sigma lo - n) - G(t - Sigma lo - p)   (ne vertex)
+                     = G(Sigma hi + p - t) - G(Sigma hi + n - t)   (po vertex)
+
+    the second measuring the same region in the reflected coordinates
+    po_i - p_i, which have the same widths.  All terms take the vertex whose
+    largest cut is smaller, since _sweep prunes at its largest cut; the
+    terms still share their cuts.  Every float is an integer over a power
+    of two, so scaling all bounds and terms by one 2^e makes each G exact on
+    Python integers: one sweep (see _sweep) for every distinct cut, each
+    difference divided once, so either vertex gives the same float.  A term
+    with a zero width (k's own p <= n included) or with t outside
+    (sum(ne), sum(po)) leaves an empty or measure-zero region, whose exact
+    volume is 0; it is not swept.  Total for any bounds.
     """
     m = len(ne)
     ints, e = _scaled([*ne, *po, *(x for term in terms for x in term)])
@@ -156,16 +173,35 @@ def _volumes(
     widths = [b - a for a, b in zip(lo, hi)]
     base, top = sum(lo), sum(hi)
     live = min(widths) > 0
-    # each term's two cuts, or None where the region has measure zero
-    splits = [
-        (t - base - n, t - base - p) if live and n < p and base + n < t < top + p
+    # each term's two cuts from the ne and from the po vertex, or None where
+    # the region has measure zero
+    both = [
+        ((t - base - n, t - base - p), (top + p - t, top + n - t))
+        if live and n < p and base + n < t < top + p
         else None
         for t, n, p in zip(ints[2 * m :: 3], ints[2 * m + 1 :: 3], ints[2 * m + 2 :: 3])
     ]
+    reach = [max((pair[v][0] for pair in both if pair), default=0) for v in (0, 1)]
+    vertex = int(reach[1] < reach[0])
+    splits = [pair[vertex] if pair else None for pair in both]
     cuts = sorted({c for pair in splits if pair for c in pair})
     g = dict(zip(cuts, _sweep(widths, cuts, m - 1))) if cuts else {}
     scale = 1 << (e * (m - 1))
     return [(g[pair[0]] - g[pair[1]]) / scale if pair else 0.0 for pair in splits]
+
+
+def _box_volumes(
+    ne: Sequence[float], po: Sequence[float], masses: list[float]
+) -> list[float]:
+    """_volumes of the bounds as given at each mass, split on the first
+    option whose width po - ne the fewest others share: _sweep weights a
+    group of c equal widths by binomials, and taking the split option out of
+    it costs more the larger c is.  Equal exact widths round to equal floats,
+    so a unique float width is unique."""
+    widths = [p - n for n, p in zip(ne, po)]
+    shared = Counter(widths)
+    k = min(range(len(widths)), key=lambda i: shared[widths[i]])
+    return _volumes(ne, po, k, [(t, ne[k], po[k]) for t in masses])
 
 
 def _conditional_mass(q: float) -> float:
@@ -183,7 +219,7 @@ def freedom(a: IntervalAssignment, *, force_cap: bool = False) -> float:
     options unless forced.
     """
     _require_measurable(a, force_cap)
-    return _volumes(list(a.ne), list(a.po), 0, [(1.0, a.ne[0], a.po[0])])[0]
+    return _box_volumes(a.ne, a.po, [1.0])[0]
 
 
 def freedom_conditional(
@@ -202,7 +238,7 @@ def freedom_conditional(
     """
     _require_measurable(a, force_cap)
     q = _conditional_mass(q)
-    return _volumes(list(a.ne), list(a.po), 0, [(q, a.ne[0], a.po[0])])[0]
+    return _box_volumes(a.ne, a.po, [q])[0]
 
 
 def _normed(f: float, m: int) -> float:
@@ -269,8 +305,7 @@ def measure_report(
     """
     _require_measurable(a, force_cap)
     masses = [1.0] if q is None else [1.0, _conditional_mass(q)]
-    terms = [(t, a.ne[0], a.po[0]) for t in masses]
-    f, *cond = _volumes(list(a.ne), list(a.po), 0, terms)
+    f, *cond = _box_volumes(a.ne, a.po, masses)
     return MeasureReport(
         freedom=f,
         yager_ambiguity=yager_ambiguity(a),
@@ -330,7 +365,7 @@ def subset_scan(a: IntervalAssignment, *, force_cap: bool = False) -> SubsetScan
                 q = max(q, 0.0)
             else:
                 ne, po = [a.ne[i] for i in kept], [a.po[i] for i in kept]
-                value = _volumes(ne, po, 0, [(q, ne[0], po[0])])[0]
+                value = _box_volumes(ne, po, [q])[0]
             entries.append(
                 SubsetEntry(
                     indices=tuple(kept),

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import time
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -190,7 +191,7 @@ def brute_volume(ne, po, mass: float = 1.0, exponent: int | None = None) -> floa
 
 
 def exactness_cases(gen: SplitMix64, m: int) -> list[tuple[list, list]]:
-    """Valid (ne, po) bounds of four kinds at M = m."""
+    """Valid (ne, po) bounds of five kinds at M = m."""
     cases = []
     # distinct widths, full-precision bounds
     ne = [0.1 * gen.random() / m for _ in range(m)]
@@ -207,6 +208,10 @@ def exactness_cases(gen: SplitMix64, m: int) -> list[tuple[list, list]]:
     k = int(gen.random() * m)
     po[k] = ne[k]
     cases.append((ne, po))
+    # distinct widths with sum(po) just above 1: the po vertex is nearer
+    raw = [1.0 + gen.random() for _ in range(m)]
+    po = [(1.0 + 0.1 * gen.random()) * r / math.fsum(raw) for r in raw]
+    cases.append(([0.3 * p * gen.random() for p in po], po))
     return cases
 
 
@@ -334,6 +339,112 @@ class TestVolumes:
         a = validate([0.25, 0.0, 0.0], [0.25, 1.0, 1.0])
         assert freedom(a) == 0.0
         assert measure_report(a, 0.5).conditional_freedom == 0.0
+
+
+def tight_input(m: int) -> IntervalAssignment:
+    """ne = 0 and distinct widths, sum(po) about 1.02 and every po_i above
+    sum(po) - 1: from the po vertex the region is an uncut corner simplex."""
+    gen = SplitMix64(7600 + m)
+    raw = [gen.random() for _ in range(m)]
+    po = [0.02 + (1.02 - 0.02 * m) * r / math.fsum(raw) for r in raw]
+    assert len(set(po)) == m and min(po) > sum(map(Fraction, po)) - 1 > 0
+    return validate([0.0] * m, po)
+
+
+class Swept(Exception):
+    """Raised by a _sweep spy in place of running the sweep."""
+
+
+class TestVertices:
+    def test_both_vertices_equal_brute_force(self, monkeypatch):
+        # each request sums from the vertex nearer its mass t: the largest
+        # cut swept is min(t - sum(ne), sum(po) - t), scaled, and both give
+        # the Fraction sum rounded once
+        tops = []
+
+        def spy(widths, cuts, exponent):
+            tops.append(max(cuts))
+            return _sweep(widths, cuts, exponent)
+
+        monkeypatch.setattr("simplexfreedom.measures._sweep", spy)
+        seen = set()
+        for m in range(2, 13):
+            gen = SplitMix64(7500 + m)
+            for ne, po in exactness_cases(gen, m):
+                a = validate(ne, po)
+                s_ne = sum(map(Fraction, a.ne))
+                s_po = sum(map(Fraction, a.po))
+                # a mass near sum(ne) and one near 1
+                near_ne = float(s_ne) + (1.0 - float(s_ne)) * 0.2 * gen.random()
+                for t in (1.0, near_ne, 1.0 - 0.02 * gen.random()):
+                    tops.clear()
+                    got = freedom(a) if t == 1.0 else freedom_conditional(a, t)
+                    assert got == brute_volume(a.ne, a.po, t), (m, ne, po, t)
+                    if not tops:  # a measure-zero region is not swept
+                        continue
+                    e = _scaled([*a.ne, *a.po, t])[1]
+                    below, above = Fraction(t) - s_ne, s_po - Fraction(t)
+                    assert tops == [min(below, above) * 2**e], (m, ne, po, t)
+                    seen.add((t == 1.0, "po" if above < below else "ne"))
+        assert seen == {(True, "ne"), (True, "po"), (False, "ne"), (False, "po")}
+
+    def test_tight_input_sweeps_from_the_po_vertex(self, monkeypatch):
+        # from the ne vertex this sweep prunes at 1 and takes tens of ms
+        a = tight_input(24)
+
+        def spy(widths, cuts, exponent):
+            raise Swept(max(cuts))
+
+        monkeypatch.setattr("simplexfreedom.measures._sweep", spy)
+        with pytest.raises(Swept) as info:
+            freedom(a)
+        ints, e = _scaled([*a.ne, *a.po, 1.0])
+        assert info.value.args == (sum(ints[24:48]) - (1 << e),)
+
+    def test_tight_input_past_the_cap(self):
+        # no width is below sum(po) - 1, so from the po vertex the region is
+        # the whole corner simplex of that mass
+        a = tight_input(48)
+        start = time.perf_counter()
+        f = freedom(a, force_cap=True)
+        elapsed = time.perf_counter() - start
+        assert f == float((sum(map(Fraction, a.po)) - 1) ** 47)
+        assert elapsed < 0.5, f"{elapsed:.3f} s"
+
+    def test_split_on_the_least_shared_width(self, monkeypatch):
+        # the split option k is taken out of the sweep; where some width is
+        # unique, k's is, and the value is the one any split gives
+        swept = []
+
+        def spy(widths, cuts, exponent):
+            swept.append(widths)
+            return _sweep(widths, cuts, exponent)
+
+        monkeypatch.setattr("simplexfreedom.measures._sweep", spy)
+        with_unique = without = 0
+        for seed in range(80):
+            gen = SplitMix64(7700 + seed)
+            m = 3 + seed % 10
+            low = -(-20 // m)  # three levels of a 0.05 grid, each at least 1/m
+            levels = [0.05 * (low + int(gen.random() * (21 - low))) for _ in range(3)]
+            po = [levels[int(gen.random() * 3)] for _ in range(m)]
+            ne = [0.0] * m
+            q = 1.0 - 0.5 * gen.random()
+            swept.clear()
+            rep = measure_report(validate(ne, po), q)
+            if not swept:  # sum(po) = 1 exactly: measure zero
+                continue
+            (kept,) = swept
+            terms = [(1.0, ne[0], po[0]), (q, ne[0], po[0])]
+            assert [rep.freedom, rep.conditional_freedom] == _volumes(ne, po, 0, terms)
+            widths = Counter(_scaled([*ne, *po, 1.0, q])[0][m : 2 * m])
+            (left,) = (widths - Counter(kept)).elements()
+            if 1 in widths.values():
+                assert widths[left] == 1, f"seed {seed}"
+                with_unique += 1
+            else:
+                without += 1
+        assert with_unique and without
 
 
 class TestNormedFreedom:
