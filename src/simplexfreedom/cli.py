@@ -1,17 +1,18 @@
 """Command-line interface: file ingestion, dispatch, machine-readable reports.
 
 Commands map one-to-one onto the library; ``COMMANDS`` is the one table of
-them (handler and help line).  One flat parser takes the command, the input
-and the flags in any order.  Reports are JSON (default) or CSV
-on stdout; numbers carry 12 significant digits; identical inputs and flags
-produce byte-identical output.  Exit codes: 0 success, 1 validation/domain
-error, 2 I/O or parse error, 3 usage error.
+them (handler and help line).  One flat parser, built once per process,
+takes the command, the input and the flags in any order.  Reports are JSON
+(default) or CSV on stdout; numbers carry 12 significant digits; identical
+inputs and flags produce byte-identical output.  Exit codes: 0 success,
+1 validation/domain error, 2 I/O or parse error, 3 usage error.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -451,7 +452,11 @@ class _Parser(argparse.ArgumentParser):
         self.exit(3, f"{self.prog}: error: {message}\n")
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The one parser, built on first use.  ``parse_args`` leaves it as it
+    is, and help and usage errors read the streams and ``COLUMNS`` when they
+    print, so every call can share it."""
     parser = _Parser(
         prog="simplexfreedom",
         description="Freedom/nonspecificity measures for interval probability "

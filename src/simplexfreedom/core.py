@@ -130,25 +130,27 @@ def validate(
 
     violations = _structural_violations(ne, po, len(labels))
     if not any(v.code == "LengthMismatch" for v in violations):
-        if len(ne) < 2:
-            violations.append(
-                Violation("TooFewOptions", f"need at least 2 options, got {len(ne)}")
-            )
-        finite = all(math.isfinite(v) for v in ne + po)
-        if finite:
-            s_ne = math.fsum(ne)
-            s_po = math.fsum(po)
-            if s_ne > 1.0 + TOLERANCE:
-                violations.append(
-                    Violation("Infeasible", f"sum(ne) = {s_ne:.12g} exceeds 1")
-                )
-            if s_po < 1.0 - TOLERANCE:
-                violations.append(
-                    Violation("Infeasible", f"sum(po) = {s_po:.12g} is below 1")
-                )
+        violations += _set_violations(ne, po)
     if violations:
         raise ValidationError(violations)
     return IntervalAssignment(labels, tuple(ne), tuple(po))
+
+
+def _set_violations(ne, po) -> list[Violation]:
+    """The checks of :func:`validate` on the bounds as a whole, for two
+    sequences of one length and type: at least two options, and (when every
+    bound is finite) sum(ne) <= 1 <= sum(po)."""
+    out: list[Violation] = []
+    if len(ne) < 2:
+        out.append(Violation("TooFewOptions", f"need at least 2 options, got {len(ne)}"))
+    if all(math.isfinite(v) for v in ne + po):
+        s_ne = math.fsum(ne)
+        s_po = math.fsum(po)
+        if s_ne > 1.0 + TOLERANCE:
+            out.append(Violation("Infeasible", f"sum(ne) = {s_ne:.12g} exceeds 1"))
+        if s_po < 1.0 - TOLERANCE:
+            out.append(Violation("Infeasible", f"sum(po) = {s_po:.12g} is below 1"))
+    return out
 
 
 def tightened_bounds(a: IntervalAssignment) -> tuple[list[float], list[float]]:
@@ -187,10 +189,20 @@ def tighten(a: IntervalAssignment) -> IntervalAssignment:
 
 
 def classify(a: IntervalAssignment) -> AssignmentClass:
-    """Classify the tightened assignment as vacuous, point, or partial."""
-    t = tighten(a)
-    if all(n <= TOLERANCE and p >= 1.0 - TOLERANCE for n, p in zip(t.ne, t.po)):
+    """Classify the tightened assignment as vacuous, point, or partial.
+
+    Raises the :class:`ValidationError` that :func:`tighten` would when the
+    tightened bounds cross (an empty region).  Otherwise the bounds are
+    judged as they come: the snapping that :func:`tighten` adds moves none
+    of them across these tests.
+    """
+    ne, po = tightened_bounds(a)
+    violations = _structural_violations(ne, po, a.m)
+    if violations:
+        raise ValidationError(violations)
+    bounds = list(zip(ne, po))
+    if all(n <= TOLERANCE and p >= 1.0 - TOLERANCE for n, p in bounds):
         return AssignmentClass.VACUOUS
-    if all(p - n <= TOLERANCE for n, p in zip(t.ne, t.po)):
+    if all(p - n <= TOLERANCE for n, p in bounds):
         return AssignmentClass.POINT
     return AssignmentClass.PARTIAL

@@ -269,7 +269,7 @@ def _estimate(
                     s = np.add(s, x[i], out=spare)
                 for i in minus:
                     s = np.subtract(s, x[i], out=spare)
-                _within(s, cut, okb, hitb)
+                _within(s, cut, okb, hitb, spare)
             accepted += int(np.count_nonzero(okb))
     if accepted < MIN_ACCEPTED:
         warnings.warn(
@@ -326,17 +326,27 @@ def _cuts(ne: float, po: float, scale: float = 1.0) -> tuple[int, int]:
     return (lo, hi) if lo <= hi else (1, 0)
 
 
-def _within(x, cut: tuple[int, int], ok: np.ndarray, hit: np.ndarray) -> None:
+def _within(
+    x, cut: tuple[int, int], ok: np.ndarray, hit: np.ndarray, spare: np.ndarray
+) -> None:
     """ok &= lo <= x <= hi for the integers ``x`` in [0, 2^53] and a cut from
     ``_cuts``, through the scratch mask ``hit``; a side every x passes is
-    skipped."""
+    skipped.  Both sides at once are one test, x - lo <= hi - lo on uint64,
+    where x < lo wraps past every hi - lo < 2^53; the difference goes into
+    the scratch row ``spare``, which may be ``x`` itself."""
     import numpy as np
 
     lo, hi = cut
-    if lo > 0:
+    if lo > hi:  # the empty cut; hi - lo would wrap
+        ok.fill(False)
+    elif lo > 0 and hi < _ONE:
+        np.subtract(x, np.uint64(lo), out=spare)
+        np.less_equal(spare, np.uint64(hi - lo), out=hit)
+        ok &= hit
+    elif lo > 0:
         np.greater_equal(x, np.uint64(lo), out=hit)
         ok &= hit
-    if hi < _ONE:
+    elif hi < _ONE:
         np.less_equal(x, np.uint64(hi), out=hit)
         ok &= hit
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .core import TOLERANCE, IntervalAssignment, validate
+from .core import TOLERANCE, IntervalAssignment, _set_violations
 from .errors import (
     DomainError,
     IndexOutOfRange,
@@ -93,11 +93,17 @@ def impact_compare(
         )
     po_k = max(a.po[k] - delta, a.ne[k])
     ne_k = min(a.ne[k] + delta, a.po[k])
-    try:  # only as the feasibility check of both perturbed assignments
-        validate(a.ne, a.po[:k] + (po_k,) + a.po[k + 1 :], a.options)
-        validate(a.ne[:k] + (ne_k,) + a.ne[k + 1 :], a.po, a.options)
-    except ValidationError as exc:
-        raise InvalidPerturbation(f"perturbed assignment invalid: {exc}") from exc
+    # both perturbed assignments pass every per-option check, so only the
+    # checks on the bounds as a whole can fail; the po side is judged first
+    for ne, po in (
+        (a.ne, a.po[:k] + (po_k,) + a.po[k + 1 :]),
+        (a.ne[:k] + (ne_k,) + a.ne[k + 1 :], a.po),
+    ):
+        violations = _set_violations(ne, po)
+        if violations:
+            raise InvalidPerturbation(
+                f"perturbed assignment invalid: {ValidationError(violations)}"
+            )
     return _report(a, k, delta, po_k, ne_k, force_cap)
 
 

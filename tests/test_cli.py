@@ -18,6 +18,7 @@ from simplexfreedom import oracle
 from simplexfreedom.cli import (
     COMMANDS,
     RunConfig,
+    _build_parser,
     main,
     parse_assignment,
     parse_crosstable,
@@ -519,6 +520,8 @@ class TestCommandLine:
             assert any(line.split()[:1] == [name] and text in line for line in lines), name
 
     def test_one_parser_per_call(self, tmp_path, capsys, monkeypatch):
+        # one flat parser, no subparser tree, and it is built once per
+        # process: two calls on an empty cache build one parser in all
         path = write(tmp_path, "a.json", F3_QUARTER)
         built = []
         init = argparse.ArgumentParser.__init__
@@ -528,8 +531,50 @@ class TestCommandLine:
             init(self, *args, **kwargs)
 
         monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        _build_parser.cache_clear()
         assert main(["measure", path]) == 0
+        assert main(["validate", path, "--format", "csv"]) == 0
         assert len(built) == 1
+
+    def test_help_after_a_call_follows_columns(self, tmp_path, capsys, monkeypatch):
+        path = write(tmp_path, "a.json", F3_QUARTER)
+        assert main(["measure", path]) == 0
+        capsys.readouterr()
+        helps = {}
+        for columns in ("50", "200"):
+            monkeypatch.setenv("COLUMNS", columns)
+            for fresh in (False, True):
+                if fresh:
+                    _build_parser.cache_clear()
+                with pytest.raises(SystemExit) as exc:
+                    main(["--help"])
+                assert exc.value.code == 0
+                helps[columns, fresh] = capsys.readouterr().out
+            # the shared parser prints what a parser built now would print
+            assert helps[columns, False] == helps[columns, True]
+            lines = helps[columns, False].splitlines()
+            for name, text in HELP.items():
+                assert any(line.split()[:1] == [name] and text in line for line in lines)
+        assert helps["50", False] != helps["200", False]
+
+    def test_usage_error_after_a_call_exits_3(self, tmp_path, capsys):
+        path = write(tmp_path, "a.json", F3_QUARTER)
+        assert main(["measure", path]) == 0
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            main(["measure", path, "--format", "xml"])
+        assert exc.value.code == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("usage: simplexfreedom ")
+        assert "argument --format: invalid choice: 'xml'" in err
+
+    def test_flags_do_not_carry_over(self, tmp_path, capsys):
+        path = write(tmp_path, "a.json", F3_QUARTER)
+        assert main(["measure", path, "--q", "0.5"]) == 0
+        assert "q" in json.loads(capsys.readouterr().out)["results"]
+        assert main(["measure", path]) == 0
+        assert "q" not in json.loads(capsys.readouterr().out)["results"]
 
     def test_flags_may_precede_the_command(self, tmp_path, capsys):
         path = write(tmp_path, "a.json", F3_QUARTER)

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from simplexfreedom import (
+    TOLERANCE,
     AssignmentClass,
     IntervalAssignment,
     LowAcceptanceWarning,
@@ -168,6 +169,46 @@ class TestClassify:
 
     def test_partial(self):
         assert classify(validate([0.6, 0.2], [0.8, 0.4])) is AssignmentClass.PARTIAL
+
+    def test_same_class_as_on_the_tightened_assignment(self):
+        # classify reads tightened_bounds without building tighten(a); on
+        # seeded vacuous, point and partial inputs the class is the one the
+        # same rule gives on tighten(a)
+        def judged(t):
+            if all(n <= TOLERANCE and p >= 1.0 - TOLERANCE for n, p in zip(t.ne, t.po)):
+                return AssignmentClass.VACUOUS
+            if all(p - n <= TOLERANCE for n, p in zip(t.ne, t.po)):
+                return AssignmentClass.POINT
+            return AssignmentClass.PARTIAL
+
+        rng = SplitMix64(17)
+        seen = []
+        for _ in range(60):
+            m = 2 + int(rng.random() * 7)
+            kind = len(seen) % 4
+            if kind == 0:  # vacuous, up to rounding inside the tolerance
+                a = validate([rng.random() * 1e-9 for _ in range(m)],
+                             [1.0 - rng.random() * 1e-9 for _ in range(m)])
+            elif kind == 1:  # a point, as given
+                p = [rng.random() for _ in range(m)]
+                p = [x / sum(p) for x in p]
+                a = validate(p, p)
+            elif kind == 2:  # a point only once tightened: one free option
+                p = [rng.random() for _ in range(m)]
+                p = [x / sum(p) for x in p]
+                a = validate(p[:-1] + [0.0], p[:-1] + [1.0])
+            else:
+                a = random_valid_assignment(rng, m)
+            seen.append(classify(a))
+            assert seen[-1] is judged(tighten(a)), (a.ne, a.po)
+        assert set(seen) == set(AssignmentClass)
+
+    def test_empty_region_raises(self):
+        # the relaxed constructor admits sum(ne) > 1; tightened, the bounds cross
+        a = IntervalAssignment(("a", "b"), (0.6, 0.6), (0.7, 0.7))
+        with pytest.raises(ValidationError) as exc:
+            classify(a)
+        assert exc.value.codes == ("BoundOrder", "BoundOrder")
 
     def test_point_after_tightening(self):
         # sums of necessities reach 1, so the region is a single point even

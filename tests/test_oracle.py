@@ -25,7 +25,7 @@ from simplexfreedom import (
     validate,
 )
 
-from simplexfreedom.oracle import _cuts, _network
+from simplexfreedom.oracle import _cuts, _network, _within
 
 from conftest import assert_within_4se, derive_worker_seed, random_valid_assignment
 
@@ -259,6 +259,29 @@ class TestIntegerKernel:
             want = _contract_accepted(k * m - 1, 4000, k * m, accept)
             assert want >= 100
             assert mc_joint_freedom(t, 4000, k * m).accepted == want
+
+    @pytest.mark.parametrize(
+        "cut", [(0, ONE), (1, 0), (6, ONE), (0, 6), (6, 9), (6, 6), (0, 0),
+                (ONE, ONE), (ONE >> 2, ONE - 1)],
+    )
+    def test_within(self, cut):
+        # ok &= lo <= x <= hi, one comparison for both sides; x is left as
+        # it is, and the empty cut (1, 0) rejects every row
+        lo, hi = cut
+        x = np.array(sorted({0, 1, 5, 6, 7, 9, 10, ONE >> 2, (ONE >> 2) - 1,
+                             ONE - 1, ONE}), dtype=np.uint64)
+        ok = np.arange(len(x)) % 5 != 3
+        want = ok & np.array([lo <= int(v) <= hi for v in x])
+        hit = np.empty(len(x), dtype=bool)
+        spare = np.empty(len(x), dtype=np.uint64)
+        before = x.copy()
+        _within(x, cut, ok, hit, spare)
+        assert (ok == want).all()
+        assert (x == before).all()
+        # the scalar 2^53 stands in for x[k + 1] when a test sums every spacing
+        top = np.ones(len(x), dtype=bool)
+        _within(np.uint64(ONE), cut, top, hit, spare)
+        assert top.all() == (lo <= ONE <= hi)
 
 
 class TestSampleSimplex:

@@ -320,6 +320,21 @@ class TestErrorOrder:
                            r"Infeasible: sum\(po\) = 0.95 is below 1$"):
             impact_compare(validate([0.2, 0.3], [0.5, 0.7]), 0, 0.25)
 
+    def test_impact_ne_side_sum(self):
+        # the po side passes; raising ne_0 pushes sum(ne) past 1
+        with pytest.raises(InvalidPerturbation, match=r"^perturbed assignment invalid: "
+                           r"Infeasible: sum\(ne\) = 1.05 exceeds 1$"):
+            impact_compare(validate([0.4, 0.5], [0.6, 0.9]), 0, 0.15)
+
+    def test_impact_one_option(self):
+        # the relaxed constructor admits one option; the perturbed one is
+        # judged as validate would judge it, before the measure's own guard
+        a = IntervalAssignment(("a",), (0.2,), (0.9,))
+        with pytest.raises(InvalidPerturbation, match=r"^perturbed assignment invalid: "
+                           r"TooFewOptions: need at least 2 options, got 1; "
+                           r"Infeasible: sum\(po\) = 0.8 is below 1$"):
+            impact_compare(a, 0, 0.1)
+
     def test_imposition(self):
         a = validate([0.0] * 25, [0.2] * 25)
         with pytest.raises(NotVacuous, match=r"^coordinate 0 has ne = 0, po = 0.2; "
