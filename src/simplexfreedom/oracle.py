@@ -29,10 +29,16 @@ block, and each row is sorted ascending (any correct sort gives the same
 bits).  That layout is the contract.  A block is evaluated 2^15 rows at a
 time, each coordinate read from its own stream seeked to the start of its
 counter run, which is only an order of evaluation: it changes no bit of any
-estimate.  Each estimate allocates its sub-block workspace once: k
-coordinate rows, one spare row and two boolean masks.  The stream writes into
-the coordinate rows, a sorting network for k wires sorts them in place
-through the spare row, and the spare row then holds each test's sum in turn.
+estimate.  So are the threads: the calling thread and, when the machine has
+a second CPU and the estimate more than one sub-block, one helper thread
+each take the next unevaluated sub-block until none is left, and the
+accepted count is their integer sum.  splitmix64 is counter-based, so any
+split of the counter space draws the same words (Steele, Lea & Flood,
+OOPSLA 2014; Salmon et al., SC 2011).  Each thread has its own sub-block
+workspace, allocated once per estimate: k coordinate rows, one spare row
+and two boolean masks.  The stream writes into the coordinate rows, a
+sorting network for k wires sorts them in place through the spare row, and
+the spare row then holds each test's sum in turn.
 
 The contract above is stated in doubles, and a float implementation of it
 gets the same bits as this one, which evaluates it in the 53-bit integers
@@ -60,6 +66,8 @@ from __future__ import annotations
 import functools
 import math
 import operator
+import os
+import threading
 import warnings
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
@@ -85,8 +93,21 @@ _CHUNK = 1 << 20
 _ONE = 1 << 53
 # Rows per sub-block: each block is drawn, sorted and tested 2^15 rows at a
 # time so its working set ((k + 1) * 256 KiB of 64-bit words) stays in cache.
-# Only the order of evaluation depends on it; estimates do not.
+# Only the order of evaluation depends on it; estimates do not.  On two
+# threads, 2^14 rows measured slower than one thread (each numpy call then
+# is too short to pay for handing over the interpreter lock), and 2^16 was
+# no faster than 2^15 while doubling the workspaces.
 _SUB = 1 << 15
+# Threads that evaluate one estimate's sub-blocks, the caller included: two
+# is the count measured to pay on a 2-core machine, and never more than the
+# CPUs this process may run on.  Each estimate also caps it at its own
+# sub-block count, so one sub-block starts no thread.
+_WORKERS = min(
+    2,
+    len(os.sched_getaffinity(0))
+    if hasattr(os, "sched_getaffinity")
+    else os.cpu_count() or 1,
+)
 # An estimate from fewer accepted rows than this is noisy: the estimators
 # warn, verify prints the warning and crosstab reports it as low_acceptance.
 MIN_ACCEPTED = 100
@@ -229,48 +250,51 @@ def _estimate(
     Each test becomes integer cuts (``_cuts``) and the sorted integers its
     sum adds and subtracts (``_ends``), summed into the spare row; uint64
     arithmetic wraps modulo 2^64, and every sum ends in [0, 2^53], so the
-    order of the terms is free.  The workspace is k + 1 uint64 rows and two
-    boolean rows of at most 2^15 words."""
+    order of the terms is free.  The calling thread and up to
+    ``_WORKERS - 1`` helper threads each take the next unclaimed sub-block
+    from one list, so a descheduled core holds up at most one sub-block,
+    and the accepted count is the integer sum of theirs.  Each thread has
+    its own workspace, allocated here: k + 1 uint64 rows and two boolean
+    rows of at most 2^15 words.  Every helper is joined before this returns
+    or raises, and an exception in a helper is raised here."""
     seed = _integer(seed, "seed") & _MASK64
     import numpy as np
 
     plans = [(*_ends(cells), _cuts(ne, po, scale)) for cells, ne, po in tests]
+    # every sub-block of every block, as (block start, rows, start, length)
+    subs = [
+        (done, rows, start, min(_SUB, rows - start))
+        for done in range(0, samples, _CHUNK)
+        for rows in [min(_CHUNK, samples - done)]
+        for start in range(0, rows, _SUB)
+    ]
+    threads = min(_WORKERS, len(subs))
     width = min(_SUB, samples)
-    # the only sub-block buffers: k coordinate rows, one spare row that the
-    # comparators rotate through and the tests then sum into, and two masks
-    work = np.empty((k + 1, width), dtype=np.uint64)
-    ok = np.empty(width, dtype=bool)
-    hit = np.empty(width, dtype=bool)
-    top = np.uint64(_ONE)
-    accepted = 0
-    for done in range(0, samples, _CHUNK):
-        rows = min(_CHUNK, samples - done)
-        # coordinate i of this block is the counter run starting at word
-        # done*k + i*rows; one stream each, walked a sub-block at a time
-        streams = [
-            SplitMix64(seed + (done * k + i * rows) * _GOLDEN) for i in range(k)
-        ]
-        for start in range(0, rows, _SUB):
-            b = min(_SUB, rows - start)
-            *u, spare = work[:, :b]
-            for row, stream in zip(u, streams):
-                stream.uniforms(b, out=row)
-            for i, j in _network(k):
-                np.minimum(u[i], u[j], out=spare)
-                np.maximum(u[i], u[j], out=u[j])
-                u[i], spare = spare, u[i]
-            # x[0] = 0 is never a term
-            x = [None, *u, top]
-            okb, hitb = ok[:b], hit[:b]
-            okb.fill(True)
-            for plus, minus, cut in plans:
-                s = x[plus[0]]
-                for i in plus[1:]:
-                    s = np.add(s, x[i], out=spare)
-                for i in minus:
-                    s = np.subtract(s, x[i], out=spare)
-                _within(s, cut, okb, hitb, spare)
-            accepted += int(np.count_nonzero(okb))
+    # per thread: k coordinate rows and one spare row that the comparators
+    # rotate through and the tests then sum into, and two masks
+    work = np.empty((threads, k + 1, width), dtype=np.uint64)
+    masks = np.empty((threads, 2, width), dtype=bool)
+    claims = iter(subs)  # a list iterator: each next() is one atomic step
+    counts = [0] * threads
+    errors: list[BaseException] = []
+
+    def helper(t: int) -> None:
+        try:
+            counts[t] = _accepted(k, seed, plans, claims, work[t], *masks[t])
+        except BaseException as exc:  # raised on the calling thread below
+            errors.append(exc)
+
+    helpers = [threading.Thread(target=helper, args=(t,)) for t in range(1, threads)]
+    for thread in helpers:
+        thread.start()
+    try:
+        counts[0] = _accepted(k, seed, plans, claims, work[0], *masks[0])
+    finally:
+        for thread in helpers:
+            thread.join()
+    if errors:
+        raise errors[0]
+    accepted = sum(counts)
     if accepted < MIN_ACCEPTED:
         warnings.warn(
             f"only {accepted} of {samples} samples accepted; the estimate is noisy",
@@ -287,6 +311,46 @@ def _estimate(
         seed=seed,
         accepted=accepted,
     )
+
+
+def _accepted(k, seed, plans, claims, work, ok, hit) -> int:
+    """Rows accepted in the sub-blocks this thread claims from ``claims``,
+    evaluated in its own workspace ``work``, ``ok`` and ``hit``.  On an
+    exception it claims every sub-block left, so the other threads stop
+    after the one they hold."""
+    import numpy as np
+
+    top = np.uint64(_ONE)
+    accepted = 0
+    try:
+        for done, rows, start, b in claims:
+            *u, spare = work[:, :b]
+            # coordinate i of the block is the counter run starting at word
+            # done*k + i*rows; this sub-block reads it from word start on
+            for i, row in enumerate(u):
+                offset = done * k + i * rows + start
+                SplitMix64(seed + offset * _GOLDEN).uniforms(b, out=row)
+            for i, j in _network(k):
+                np.minimum(u[i], u[j], out=spare)
+                np.maximum(u[i], u[j], out=u[j])
+                u[i], spare = spare, u[i]
+            # x[0] = 0 is never a term
+            x = [None, *u, top]
+            okb, hitb = ok[:b], hit[:b]
+            okb.fill(True)
+            for plus, minus, cut in plans:
+                s = x[plus[0]]
+                for i in plus[1:]:
+                    s = np.add(s, x[i], out=spare)
+                for i in minus:
+                    s = np.subtract(s, x[i], out=spare)
+                _within(s, cut, okb, hitb, spare)
+            accepted += int(np.count_nonzero(okb))
+    except BaseException:
+        for _ in claims:
+            pass
+        raise
+    return accepted
 
 
 def _ends(cells) -> tuple[list[int], list[int]]:

@@ -388,6 +388,42 @@ class TestVertices:
                     seen.add((t == 1.0, "po" if above < below else "ne"))
         assert seen == {(True, "ne"), (True, "po"), (False, "ne"), (False, "po")}
 
+    def test_each_mass_sums_from_its_own_vertex(self, monkeypatch):
+        # measure --q sums F and the conditional in one sweep, each mass from
+        # the vertex nearer it: the largest cut swept is the largest over the
+        # masses of min(t - sum(ne), sum(po) - t), scaled
+        tops = []
+
+        def spy(widths, cuts, exponent):
+            tops.append(max(cuts))
+            return _sweep(widths, cuts, exponent)
+
+        monkeypatch.setattr("simplexfreedom.measures._sweep", spy)
+        # tight inputs: mass 1 lies near the po vertex and q near the ne one
+        inputs = [(tight_input(m), q) for m, q in ((10, 0.3), (14, 0.5), (24, 0.3))]
+        for m in range(3, 13):
+            gen = SplitMix64(7800 + m)
+            inputs += [(validate(ne, po), 1.0 - 0.9 * gen.random())
+                       for ne, po in exactness_cases(gen, m)]
+        opposite = 0
+        for a, q in inputs:
+            tops.clear()
+            rep = measure_report(a, q)
+            if a.m <= 14:  # the Fraction sum visits all 2^M subsets
+                assert rep.freedom == brute_volume(a.ne, a.po)
+                assert rep.conditional_freedom == brute_volume(a.ne, a.po, q)
+            if not tops:  # both regions have measure zero
+                continue
+            s_ne = sum(map(Fraction, a.ne))
+            s_po = sum(map(Fraction, a.po))
+            e = _scaled([*a.ne, *a.po, 1.0, q])[1]
+            near = {t: (Fraction(t) - s_ne, s_po - Fraction(t)) for t in (1.0, q)}
+            live = [min(d) for d in near.values() if min(d) > 0]
+            assert tops == [max(live) * 2**e], (a, q)
+            sides = {below < above for below, above in near.values()}
+            opposite += len(live) == 2 and len(sides) == 2
+        assert opposite
+
     def test_tight_input_sweeps_from_the_po_vertex(self, monkeypatch):
         # from the ne vertex this sweep prunes at 1 and takes tens of ms
         a = tight_input(24)

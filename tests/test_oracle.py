@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import math
+import sys
+import threading
 import tracemalloc
 import warnings
 from contextlib import nullcontext
@@ -25,6 +27,7 @@ from simplexfreedom import (
     validate,
 )
 
+from simplexfreedom import oracle
 from simplexfreedom.oracle import _cuts, _network, _within
 
 from conftest import assert_within_4se, derive_worker_seed, random_valid_assignment
@@ -581,6 +584,77 @@ def test_estimates_carry_their_accepted_count(kind, size, samples, accepted):
     assert est.accepted == accepted
     factor = 0.7 ** (size - 1) if kind == "conditional" else 1.0
     assert est.mean == accepted / samples * factor
+
+
+@pytest.mark.parametrize(
+    "kind, size, samples, mean, std_error",
+    PINNED + SEAMS + SWITCH,
+    ids=[f"{c[0]}-{c[1]}-{c[2]}" for c in PINNED + SEAMS + SWITCH],
+)
+def test_estimates_do_not_depend_on_the_thread_count(
+    monkeypatch, kind, size, samples, mean, std_error
+):
+    # three threads share out the sub-blocks on fewer cores, with the
+    # interpreter switching threads often: a sub-block claimed twice or
+    # never would change the accepted count
+    interval = sys.getswitchinterval()
+    for workers in (1, 3):
+        monkeypatch.setattr(oracle, "_WORKERS", workers)
+        sys.setswitchinterval(1e-5)
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", LowAcceptanceWarning)
+                est = _pinned_estimate(kind, size, samples)
+        finally:
+            sys.setswitchinterval(interval)
+        assert (est.mean.hex(), est.std_error.hex()) == (mean, std_error), workers
+
+
+def _failing_within(fails_on_helper: bool):
+    """``_within`` that raises on the first call from the helper threads
+    (or from the calling thread), the calling thread waiting for a helper's
+    first call so that both hold a sub-block when it fails."""
+    started = threading.Event()
+
+    def within(*args):
+        if threading.current_thread() is threading.main_thread():
+            assert started.wait(timeout=30)
+            if not fails_on_helper:
+                raise RuntimeError("in the calling thread")
+        else:
+            started.set()
+            if fails_on_helper:
+                raise RuntimeError("in a helper thread")
+        return _within(*args)
+
+    return within
+
+
+@pytest.mark.parametrize("fails_on_helper", [True, False])
+def test_an_error_in_either_thread_reaches_the_caller(monkeypatch, fails_on_helper):
+    monkeypatch.setattr(oracle, "_WORKERS", 2)
+    monkeypatch.setattr(oracle, "_within", _failing_within(fails_on_helper))
+    before = threading.active_count()
+    with pytest.raises(RuntimeError, match="helper" if fails_on_helper else "calling"):
+        mc_freedom(_pinned_assignment(4), 1_000_000, 4)
+    assert threading.active_count() == before
+    monkeypatch.setattr(oracle, "_within", _within)
+    est = mc_freedom(_pinned_assignment(4), 1_000_000, 4)
+    assert threading.active_count() == before
+    assert est == mc_freedom(_pinned_assignment(4), 1_000_000, 4)
+
+
+@pytest.mark.parametrize("samples, started", [(1, 0), (1 << 15, 0), ((1 << 15) + 1, 1)])
+def test_one_sub_block_starts_no_thread(monkeypatch, samples, started):
+    monkeypatch.setattr(oracle, "_WORKERS", 2)
+    starts = []
+    start = threading.Thread.start
+    monkeypatch.setattr(threading.Thread, "start", lambda t: starts.append(t) or start(t))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", LowAcceptanceWarning)
+        mc_freedom(_pinned_assignment(3), samples, 3)
+    assert len(starts) == started
+    assert not any(t.is_alive() for t in starts)
 
 
 def test_sampler_memory_is_bounded_by_sub_blocks():
