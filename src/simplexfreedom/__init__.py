@@ -45,7 +45,6 @@ from .errors import (
     WrongDimension,
 )
 from .measures import (
-    OPTION_CAP,
     MeasureReport,
     SubsetEntry,
     SubsetScan,
@@ -96,7 +95,6 @@ __all__ = [
     "MeasureReport",
     "NE_DOMINATES",
     "NotVacuous",
-    "OPTION_CAP",
     "ParseError",
     "PO_DOMINATES",
     "RegionPolygon",

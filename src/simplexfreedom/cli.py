@@ -36,7 +36,6 @@ class RunConfig:
     delta: float | None = None
     eps: float | None = None
     format: str = "json"
-    force_cap: bool = False
 
 
 def _round12(obj):
@@ -159,7 +158,7 @@ def _cmd_validate(cfg: RunConfig, data: bytes):
 
 def _cmd_measure(cfg: RunConfig, data: bytes):
     a = parse_assignment(data)
-    rep = measures.measure_report(a, q=cfg.q, force_cap=cfg.force_cap)
+    rep = measures.measure_report(a, q=cfg.q)
     results = {
         "m": rep.m,
         "freedom": rep.freedom,
@@ -177,7 +176,7 @@ def _cmd_measure(cfg: RunConfig, data: bytes):
 
 def _cmd_verify(cfg: RunConfig, data: bytes):
     a = parse_assignment(data)
-    f = measures.freedom(a, force_cap=cfg.force_cap)
+    f = measures.freedom(a)
     est, warning = _sample(oracle.mc_freedom, a, cfg.samples, cfg.seed)
     if warning is not None:
         sys.stderr.write(warning + "\n")
@@ -194,7 +193,7 @@ def _cmd_verify(cfg: RunConfig, data: bytes):
 
 def _cmd_subsets(cfg: RunConfig, data: bytes):
     a = parse_assignment(data)
-    scan = measures.subset_scan(a, force_cap=cfg.force_cap)
+    scan = measures.subset_scan(a)
     return {
         "entries": [
             {
@@ -213,11 +212,11 @@ def _cmd_sensitivity(cfg: RunConfig, data: bytes):
     a = parse_assignment(data)
     k = cfg.index - 1  # library indices are 0-based
     if cfg.eps is not None:
-        rep = sensitivity.imposition_compare(a, k, cfg.eps, force_cap=cfg.force_cap)
+        rep = sensitivity.imposition_compare(a, k, cfg.eps)
         mode = "imposition"
     else:
         delta = 0.05 if cfg.delta is None else cfg.delta
-        rep = sensitivity.impact_compare(a, k, delta, force_cap=cfg.force_cap)
+        rep = sensitivity.impact_compare(a, k, delta)
         mode = "perturbation"
     return {"mode": mode, **vars(rep), "index": rep.index + 1}
 
@@ -476,8 +475,6 @@ def _build_parser() -> _Parser:
     parser.add_argument("--delta", type=float)
     parser.add_argument("--eps", type=float)
     parser.add_argument("--format", choices=("json", "csv"))
-    parser.add_argument("--force-cap", action="store_true",
-                        help="override the closed-form option-count cap")
     return parser
 
 

@@ -267,10 +267,10 @@ def mc_joint_freedom(t: CrossTable, samples: int, seed: int) -> MCEstimate:
     fraction relative to the full joint simplex, the direct generalization
     of the single-margin measure (vacuous margins give exactly 1).
 
-    Sum checks allow a 1e-12 slack: a forced-equality margin (e.g. a single
-    row, whose sum is exactly 1) would otherwise be rejected on resummation
-    rounding alone.  Raises TooManyCells beyond 12 cells and warns when
-    fewer than 100 samples are accepted.
+    Sum checks allow a 1e-12 slack.  Every row and column sum is exact
+    integer arithmetic on the sorted draws, so it guards no rounding; it
+    stays because the estimate's bits depend on it.  Raises TooManyCells
+    beyond 12 cells and warns when fewer than 100 samples are accepted.
     """
     samples = oracle._check_samples(samples)
     k, m = t.shape

@@ -42,7 +42,9 @@ class ParseError(FreedomError):
 
 
 class CapExceeded(FreedomError):
-    """Closed-form evaluation asked for more options than OPTION_CAP allows."""
+    """Closed-form evaluation would pass its work limit: too many kept
+    subsets for the number of options, or a subset scan of more than 24
+    point-valued options."""
 
 
 class DomainError(FreedomError):

@@ -35,28 +35,19 @@ from dataclasses import dataclass
 from .core import TOLERANCE, IntervalAssignment
 from .errors import CapExceeded, DomainError, ValidationError, Violation
 
-# Hard cap on the option count for closed-form evaluation: the two halves
-# of the meet-in-the-middle sum enumerate at most about 2^12 subsets each at
-# 24 options, which keeps the worst case at desk scale.  Pass force_cap=True
-# to exceed it.
-OPTION_CAP = 24
+# The closed form's work limit: the subsets _sweep keeps (the first half
+# once per cut, plus the second half) times (exponent + 1)^2, for the
+# exponent + 1 moments each subset updates and their size.  No input of at
+# most 24 options passes it: 23 distinct other widths and 4 cuts keep at
+# most 12,288 subsets at exponent 23.
+_WORK = 12_288 * 24**2
 
 
-def _check_cap(m: int, force_cap: bool) -> None:
-    if m > OPTION_CAP and not force_cap:
-        raise CapExceeded(
-            f"{m} options exceed the closed-form cap of {OPTION_CAP} options "
-            f"(pass force_cap=True to override)"
-        )
-
-
-def _require_measurable(a: IntervalAssignment, force_cap: bool) -> None:
-    """The closed form's guards, in this order: 2 options, then the cap."""
+def _require_measurable(a: IntervalAssignment) -> None:
     if a.m < 2:
         raise ValidationError(
             [Violation("TooFewOptions", "the measure needs at least 2 options")]
         )
-    _check_cap(a.m, force_cap)
 
 
 def _scaled(values: list[float]) -> tuple[list[int], int]:
@@ -67,11 +58,12 @@ def _scaled(values: list[float]) -> tuple[list[int], int]:
 
 
 def _width_sums(
-    groups: list[tuple[int, int]], base: int
+    groups: list[tuple[int, int]], base: int, room: int
 ) -> list[tuple[int, int]]:
     """(W, b) for every choice of k_v options from each group (width w_v,
     count c_v) with W = sum_v k_v * w_v < base; b = prod_v (-1)^k_v C(c_v, k_v).
-    A larger W gives a zero term, and so does every extension of it."""
+    A larger W gives a zero term, and so does every extension of it.  Raises
+    CapExceeded as soon as more than room sums are kept."""
     sums = [(0, 1)]
     for w, c in groups:
         grown = []
@@ -81,6 +73,11 @@ def _width_sums(
                 break
             coef = (-1) ** k * math.comb(c, k)
             grown.extend((s + shift, b * coef) for s, b in sums if s + shift < base)
+            if len(grown) > room:
+                raise CapExceeded(
+                    f"the closed form would keep over {room} subsets in one "
+                    f"half of its sum, past its work limit"
+                )
         sums = grown
     return sums
 
@@ -102,7 +99,9 @@ def _sweep(widths: list[int], cuts: list[int], exponent: int) -> list[int]:
     so the x of every cut, tagged with the cut and merged into one sorted
     list, are swept against the sorted second half: the sweep carries the
     n + 1 running moments nu_j and adds each x's Horner value to its cut's
-    total.  A cut <= 0 sums to 0.
+    total.  A cut <= 0 sums to 0.  The second half is enumerated first, and
+    the first half, counted once per cut, gets what is left of the _WORK
+    limit.
     """
     top = max(cuts)
     halves: tuple[list, list] = ([], [])
@@ -111,13 +110,14 @@ def _sweep(widths: list[int], cuts: list[int], exponent: int) -> list[int]:
         h = sizes[1] < sizes[0]  # the half with less work so far
         halves[h].append(group)
         sizes[h] *= group[1] + 1
+    room = _WORK // (exponent + 1) ** 2
+    second = sorted(_width_sums(halves[1], top, room))
     first = sorted(
         (c - s, v, b)
-        for s, b in _width_sums(halves[0], top)
+        for s, b in _width_sums(halves[0], top, (room - len(second)) // len(cuts))
         for v, c in enumerate(cuts)
         if s < c
     )
-    second = sorted(_width_sums(halves[1], top))
 
     coefs = [(-1) ** j * math.comb(exponent, j) for j in range(exponent + 1)]
     nu = [0] * (exponent + 1)
@@ -220,20 +220,18 @@ def _conditional_mass(q: float) -> float:
     return q
 
 
-def freedom(a: IntervalAssignment, *, force_cap: bool = False) -> float:
+def freedom(a: IntervalAssignment) -> float:
     """Fraction of the simplex volume compatible with the bounds, in [0, 1].
 
     Computed on the bounds as given: tightening leaves the region, and so
-    the exact value, unchanged.  Raises CapExceeded for more than OPTION_CAP
-    options unless forced.
+    the exact value, unchanged.  Raises CapExceeded when the exact sum would
+    pass its work limit, which no input of at most 24 options does.
     """
-    _require_measurable(a, force_cap)
+    _require_measurable(a)
     return _box_volumes(a.ne, a.po, [1.0])[0]
 
 
-def freedom_conditional(
-    a: IntervalAssignment, q: float, *, force_cap: bool = False
-) -> float:
+def freedom_conditional(a: IntervalAssignment, q: float) -> float:
     """Unnormalized conditional freedom of a K-option subsystem.
 
     When the other options have absorbed probability 1-q as point values, the
@@ -245,7 +243,7 @@ def freedom_conditional(
     This is a volume, not a fraction of the sub-simplex (no division by
     q^(K-1)); at q = 1 it coincides with :func:`freedom`.
     """
-    _require_measurable(a, force_cap)
+    _require_measurable(a)
     q = _conditional_mass(q)
     return _box_volumes(a.ne, a.po, [q])[0]
 
@@ -255,10 +253,10 @@ def _normed(f: float, m: int) -> float:
     return f ** (1.0 / (m - 1))
 
 
-def normed_freedom(a: IntervalAssignment, *, force_cap: bool = False) -> float:
+def normed_freedom(a: IntervalAssignment) -> float:
     """freedom(a) ** (1/(M-1)): partially corrects for the option count
     when comparing assignments of different sizes."""
-    return _normed(freedom(a, force_cap=force_cap), a.m)
+    return _normed(freedom(a), a.m)
 
 
 def yager_ambiguity(a: IntervalAssignment) -> float:
@@ -302,9 +300,7 @@ class MeasureReport:
     q: float | None = None
 
 
-def measure_report(
-    a: IntervalAssignment, q: float | None = None, *, force_cap: bool = False
-) -> MeasureReport:
+def measure_report(a: IntervalAssignment, q: float | None = None) -> MeasureReport:
     """Bundle F, A, I, S for one assignment.
 
     Freedom (and its normed form) is computed on the bounds as given, like
@@ -312,7 +308,7 @@ def measure_report(
     supplied the unnormalized conditional freedom at mass q is included,
     from the same sweep as F, and the report holds q as the float used.
     """
-    _require_measurable(a, force_cap)
+    _require_measurable(a)
     masses = [1.0] if q is None else [1.0, _conditional_mass(q)]
     f, *cond = _box_volumes(a.ne, a.po, masses)
     return MeasureReport(
@@ -342,7 +338,7 @@ class SubsetScan:
     omitted: int
 
 
-def subset_scan(a: IntervalAssignment, *, force_cap: bool = False) -> SubsetScan:
+def subset_scan(a: IntervalAssignment) -> SubsetScan:
     """Conditional freedom for every proper subset whose complement is
     entirely point-valued.
 
@@ -354,15 +350,21 @@ def subset_scan(a: IntervalAssignment, *, force_cap: bool = False) -> SubsetScan
     conditional mass and are omitted (counted in ``omitted``).  Singletons
     are excluded: a one-option measure is degenerate.  Only complements of
     point-valued options are visited, 2^P of them for P such options, and
-    entries come in increasing order of the kept options' bit mask.
+    entries come in increasing order of the kept options' bit mask.  Raises
+    CapExceeded for P > 24, before any entry, and when an entry's closed
+    form passes its work limit.
     """
     if a.m < 3:
         raise ValidationError(
             [Violation("TooFewOptions", "subset scan needs at least 3 options")]
         )
-    _check_cap(a.m, force_cap)
     m = a.m
     points = sum(1 << i for i in range(m) if a.po[i] - a.ne[i] <= TOLERANCE)
+    if (p := points.bit_count()) > 24:
+        raise CapExceeded(
+            f"{p} point-valued options would list 2^{p} subsets; "
+            f"the scan lists at most 2^24"
+        )
     entries: list[SubsetEntry] = []
     r = points  # the complement: each nonempty submask of points, decreasing
     while r:

@@ -68,9 +68,7 @@ def _verdict(loss_po: float, loss_ne: float) -> str:
     return PO_DOMINATES if diff > 0.0 else NE_DOMINATES
 
 
-def impact_compare(
-    a: IntervalAssignment, k: int, delta: float, *, force_cap: bool = False
-) -> SensitivityReport:
+def impact_compare(a: IntervalAssignment, k: int, delta: float) -> SensitivityReport:
     """Compare F(a) - F(po_k - delta) against F(a) - F(ne_k + delta).
 
     The perturbations apply to the bounds exactly as given; a bound with
@@ -104,21 +102,16 @@ def impact_compare(
             raise InvalidPerturbation(
                 f"perturbed assignment invalid: {ValidationError(violations)}"
             )
-    return _report(a, k, delta, po_k, ne_k, force_cap)
+    return _report(a, k, delta, po_k, ne_k)
 
 
 def _report(
-    a: IntervalAssignment,
-    k: int,
-    size: float,
-    po_k: float,
-    ne_k: float,
-    force_cap: bool,
+    a: IntervalAssignment, k: int, size: float, po_k: float, ne_k: float
 ) -> SensitivityReport:
     """Losses from lowering option k's possibility to po_k and from raising
     its necessity to ne_k, all three freedoms from one sweep over the other
     options; a new bound past the other one leaves freedom exactly 0."""
-    _require_measurable(a, force_cap)
+    _require_measurable(a)
     terms = [(1.0, a.ne[k], a.po[k]), (1.0, a.ne[k], po_k), (1.0, ne_k, a.po[k])]
     f0, f_po, f_ne = _volumes(list(a.ne), list(a.po), k, terms)
     loss_po = max(0.0, f0 - f_po)
@@ -133,9 +126,7 @@ def _report(
     )
 
 
-def imposition_compare(
-    a: IntervalAssignment, k: int, eps: float, *, force_cap: bool = False
-) -> SensitivityReport:
+def imposition_compare(a: IntervalAssignment, k: int, eps: float) -> SensitivityReport:
     """Compare imposing po_k = 1 - eps against imposing ne_k = eps on a
     currently vacuous coordinate (the two impositions are complementary:
     1 - po_k = ne_k = eps).
@@ -153,4 +144,4 @@ def imposition_compare(
             f"coordinate {k} has ne = {a.ne[k]:.12g}, po = {a.po[k]:.12g}; "
             "imposition needs ne = 0 and po = 1"
         )
-    return _report(a, k, eps, 1.0 - eps, eps, force_cap)
+    return _report(a, k, eps, 1.0 - eps, eps)

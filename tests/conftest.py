@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from simplexfreedom import (
@@ -51,6 +53,15 @@ def random_valid_assignment(rng: SplitMix64, m: int, tight: bool = False) -> Int
         ne = [x * 0.9 / s for x in ne]
     a = validate(ne, po)
     return tighten(a) if tight else a
+
+
+def hard_input(m: int) -> IntervalAssignment:
+    """ne = 0 and distinct possibilities near 2/M that sum to 2, so both
+    vertices lie far from mass 1: the costliest kind of closed form, which
+    passes its work limit at M = 25."""
+    gen = SplitMix64(7700 + m)
+    raw = [0.9 + 0.2 * gen.random() for _ in range(m)]
+    return validate([0.0] * m, [2.0 * r / math.fsum(raw) for r in raw])
 
 
 def random_assignment_with_volume(

@@ -26,6 +26,8 @@ from simplexfreedom.cli import (
 )
 from simplexfreedom.errors import ParseError, ValidationError
 
+from conftest import hard_input
+
 EX1_CASE1 = {
     "options": [
         {"name": "a", "ne": 0.6, "po": 0.8},
@@ -428,6 +430,17 @@ class TestExitCodes:
         path = write(tmp_path, "bad.json", doc)
         assert run(RunConfig("measure", str(path))) == 1
 
+    def test_work_limit_exit_1(self, tmp_path, capsys):
+        a = hard_input(25)
+        doc = {"options": [{"ne": n, "po": p} for n, p in zip(a.ne, a.po)]}
+        path = write(tmp_path, "hard.json", doc)
+        assert run(RunConfig("measure", str(path))) == 1
+        out, err = capsys.readouterr()
+        error = json.loads(out)["error"]
+        assert error["type"] == "CapExceeded"
+        assert error["message"].startswith("the closed form would keep over ")
+        assert err == f"CapExceeded: {error['message']}\n"
+
     def test_usage_exit_3_for_bad_flag(self, tmp_path):
         path = write(tmp_path, "a.json", EX1_CASE1)
         assert run(RunConfig("measure", str(path), q=1.5)) == 3
@@ -486,8 +499,9 @@ class TestExitCodes:
             ["measure", "{path}", "--format", "xml"],
             ["measure"],
             ["verify", "{path}", "--samples", "many"],
+            ["measure", "{path}", "--force-cap"],
         ],
-        ids=["format-xml", "missing-input", "non-integer-samples"],
+        ids=["format-xml", "missing-input", "non-integer-samples", "no-force-cap"],
     )
     def test_main_usage_error_exit_3(self, tmp_path, capsys, argv):
         path = write(tmp_path, "a.json", EX1_CASE1)

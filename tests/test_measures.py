@@ -26,6 +26,8 @@ from simplexfreedom import (
     freedom,
     freedom_conditional,
     hartley_nonspecificity,
+    impact_compare,
+    imposition_compare,
     mc_freedom_conditional,
     measure_report,
     normed_freedom,
@@ -36,7 +38,7 @@ from simplexfreedom import (
 )
 from simplexfreedom.measures import _scaled, _sweep, _volumes
 
-from conftest import assert_within_4se, random_valid_assignment
+from conftest import assert_within_4se, hard_input, random_valid_assignment
 
 
 @st.composite
@@ -72,20 +74,19 @@ class TestFreedom:
         assert freedom(validate([0.0, 0.4, 0.0], [1.0, 0.4, 1.0])) == 0.0
 
     def test_cap(self):
-        m = 25
-        a = validate([0.0] * m, [1.0] * m)
+        # the closed form is limited by its work, not by M
+        assert freedom(validate([0.0] * 25, [1.0] * 25)) == 1.0
         with pytest.raises(CapExceeded):
-            freedom(a)
-        assert freedom(a, force_cap=True) == 1.0
+            freedom(hard_input(25))
 
-    def test_cap_message_names_the_option_cap(self):
-        a = validate([0.0] * 25, [1.0] * 25)
+    def test_cap_message_names_the_work_limit(self):
+        assert freedom(validate([0.0] * 25, [1.0] * 25)) == 1.0
         with pytest.raises(
             CapExceeded,
-            match=r"^25 options exceed the closed-form cap of 24 options "
-            r"\(pass force_cap=True to override\)$",
+            match=r"^the closed form would keep over 3614 subsets in one half "
+            r"of its sum, past its work limit$",
         ):
-            freedom(a)
+            freedom(hard_input(25))
 
     def test_rejects_single_option_instances(self):
         sub = IntervalAssignment(("only",), (0.0,), (1.0,))
@@ -442,7 +443,7 @@ class TestVertices:
         # the whole corner simplex of that mass
         a = tight_input(48)
         start = time.perf_counter()
-        f = freedom(a, force_cap=True)
+        f = freedom(a)
         elapsed = time.perf_counter() - start
         assert f == float((sum(map(Fraction, a.po)) - 1) ** 47)
         assert elapsed < 0.5, f"{elapsed:.3f} s"
@@ -481,6 +482,77 @@ class TestVertices:
             else:
                 without += 1
         assert with_unique and without
+
+
+def groupings(n: int, top: int):
+    """Every way to group n widths into groups of equal width: the integer
+    partitions of n into parts of at most top, as lists of group sizes."""
+    if n == 0:
+        yield []
+    for c in range(min(n, top), 0, -1):
+        for rest in groupings(n - c, c):
+            yield [c, *rest]
+
+
+class TestWorkLimit:
+    def test_no_input_of_24_options_passes_it(self, monkeypatch):
+        # every grouping of the 1..23 widths besides the split option, with
+        # 1..4 cuts: no width sum reaches a cut, so no subset is pruned, and
+        # each half must still fit the room _sweep gives it at exponent 23
+        fits = []
+
+        def spy(groups, base, room):
+            size = math.prod(c + 1 for _, c in groups)
+            fits.append((size, room))
+            if len(fits) % 2 == 0:
+                raise Swept()  # both halves checked; skip the sweep itself
+            return [(0, 1)] * size
+
+        monkeypatch.setattr("simplexfreedom.measures._width_sums", spy)
+        count = 0
+        for n in range(1, 24):
+            for sizes in groupings(n, n):
+                count += 1
+                widths = [w + 1 for w, c in enumerate(sizes) for _ in range(c)]
+                for cuts in range(1, 5):
+                    with pytest.raises(Swept):
+                        _sweep(widths, [n + 1 + v for v in range(cuts)], 23)
+        assert count == 5762
+        assert all(size <= room for size, room in fits)
+        # and the limit is no looser than that: 23 distinct widths and 4 cuts
+        # fill it exactly
+        assert any(size == room for size, room in fits)
+
+    def test_worst_inputs_of_24_options_are_admitted(self):
+        a = hard_input(24)
+        vac = validate([0.0] * 24, [*hard_input(23).po, 1.0])
+        assert 0.0 < freedom(a) < 1.0
+        assert measure_report(a, 0.7).conditional_freedom > 0.0
+        assert impact_compare(a, 0, 0.01).loss_from_po > 0.0
+        assert imposition_compare(vac, 23, 0.3).loss_from_ne > 0.0
+
+    def test_entry_points_refuse_the_hard_input_quickly(self):
+        a = hard_input(25)
+        vac = validate([0.0] * 25, [*hard_input(24).po, 1.0])
+        # one point-valued option: its complement keeps the 25 hard options
+        pointed = validate([*a.ne, 0.001], [*a.po, 0.001])
+        calls = {
+            "freedom": lambda: freedom(a),
+            "freedom_conditional": lambda: freedom_conditional(a, 0.99),
+            "normed_freedom": lambda: normed_freedom(a),
+            "measure_report": lambda: measure_report(a, 0.99),
+            "subset_scan": lambda: subset_scan(pointed),
+            "impact_compare": lambda: impact_compare(a, 0, 0.01),
+            "imposition_compare": lambda: imposition_compare(vac, 24, 0.3),
+        }
+        for name, call in calls.items():
+            best = math.inf
+            for _ in range(3):
+                start = time.perf_counter()
+                with pytest.raises(CapExceeded):
+                    call()
+                best = min(best, time.perf_counter() - start)
+            assert best < 0.05, f"{name}: {best:.3f} s"
 
 
 class TestNormedFreedom:
@@ -609,18 +681,38 @@ class TestMeasureReport:
         assert measure_report(a).q is None
 
     def test_errors_keep_their_order(self):
-        big = validate([0.0] * 25, [0.2] * 25)
-        with pytest.raises(CapExceeded, match=r"^25 options exceed the closed-form cap"):
+        # q is checked before the sweep, which alone meets the work limit
+        big = hard_input(25)
+        with pytest.raises(DomainError, match=r"^q = 1.5 outside \(0, 1\]$"):
             measure_report(big, 1.5)
+        with pytest.raises(CapExceeded, match=r"^the closed form would keep over"):
+            measure_report(big, 0.99)
         a = validate([0, 0, 0], [1, 1, 1])
         for q in (0.0, 1.5):
             with pytest.raises(DomainError, match=rf"^q = {q} outside \(0, 1\]$"):
                 measure_report(a, q)
 
 
+def brute_entry(a: IntervalAssignment, kept: list[int]) -> SubsetEntry:
+    """The entry of one kept subset whose complement is point-valued, through
+    freedom_conditional."""
+    rest = [j for j in range(a.m) if j not in kept]
+    q = 1.0 - math.fsum(a.ne[j] for j in rest)
+    if q <= 1e-12:
+        value, q = 0.0, max(q, 0.0)
+    else:
+        sub = IntervalAssignment(
+            tuple(a.options[i] for i in kept),
+            tuple(a.ne[i] for i in kept),
+            tuple(a.po[i] for i in kept),
+        )
+        value = freedom_conditional(sub, q)
+    return SubsetEntry(tuple(kept), tuple(a.options[i] for i in kept), q, value)
+
+
 def brute_scan(a: IntervalAssignment) -> SubsetScan:
     """subset_scan by its definition: every one of the 2^M masks, filtered,
-    and each kept subset through freedom_conditional."""
+    and each kept subset through brute_entry."""
     m = a.m
     entries = []
     omitted = 0
@@ -632,18 +724,7 @@ def brute_scan(a: IntervalAssignment) -> SubsetScan:
         if any(a.po[j] - a.ne[j] > TOLERANCE for j in rest):
             omitted += 1
             continue
-        q = 1.0 - math.fsum(a.ne[j] for j in rest)
-        if q <= 1e-12:
-            value, q = 0.0, max(q, 0.0)
-        else:
-            sub = IntervalAssignment(
-                tuple(a.options[i] for i in kept),
-                tuple(a.ne[i] for i in kept),
-                tuple(a.po[i] for i in kept),
-            )
-            value = freedom_conditional(sub, q)
-        labels = tuple(a.options[i] for i in kept)
-        entries.append(SubsetEntry(tuple(kept), labels, q, value))
+        entries.append(brute_entry(a, kept))
     return SubsetScan(tuple(entries), omitted)
 
 
@@ -732,3 +813,34 @@ class TestSubsetScan:
         pair = [e for e in scan.entries if e.indices == (0, 1)]
         assert pair and pair[0].q == 0.0
         assert pair[0].conditional_freedom == 0.0
+
+    def test_thirty_options_with_two_points(self):
+        # P, not M, bounds the scan.  brute_scan's 2^30 masks are too many to
+        # walk, but only three of them keep a subset with a point-valued
+        # complement, in this order of kept mask: all but {4, 17}, {17}, {4}
+        po = [0.05 * (2 + i % 3) for i in range(30)]
+        ne = [0.0] * 30
+        ne[4] = po[4] = 0.1
+        ne[17] = po[17] = 0.25
+        a = validate(ne, po)
+        scan = subset_scan(a)
+        kept = [[i for i in range(30) if i not in rest] for rest in ({4, 17}, {17}, {4})]
+        assert scan == SubsetScan(
+            tuple(brute_entry(a, k) for k in kept), 2**30 - 30 - 2 - 3
+        )
+        # a kept point-valued option leaves the slice no volume
+        assert [e.conditional_freedom > 0.0 for e in scan.entries] == [True, False, False]
+
+    def test_refuses_25_points_before_listing(self, monkeypatch):
+        listed = []
+        monkeypatch.setattr(
+            "simplexfreedom.measures._box_volumes", lambda *args: listed.append(args)
+        )
+        a = validate([0.01] * 25 + [0.0, 0.0], [0.01] * 25 + [1.0, 1.0])
+        with pytest.raises(
+            CapExceeded,
+            match=r"^25 point-valued options would list 2\^25 subsets; "
+            r"the scan lists at most 2\^24$",
+        ):
+            subset_scan(a)
+        assert listed == []

@@ -24,7 +24,7 @@ from simplexfreedom import (
     validate,
 )
 
-from conftest import random_valid_assignment
+from conftest import hard_input, random_valid_assignment
 
 
 class TestDominanceCondition:
@@ -209,29 +209,29 @@ class TestImpositionCompare:
         assert not violations, f"first violation: {violations[0]}"
 
 
-def separate_impact(a, k, delta, force_cap=False):
+def separate_impact(a, k, delta):
     """impact_compare's (F(a), F(a_po), F(a_ne)) from three freedom calls."""
     po2 = list(a.po)
     po2[k] = max(po2[k] - delta, a.ne[k])
     ne2 = list(a.ne)
     ne2[k] = min(ne2[k] + delta, a.po[k])
     return (
-        freedom(a, force_cap=force_cap),
-        freedom(validate(a.ne, po2, a.options), force_cap=force_cap),
-        freedom(validate(ne2, a.po, a.options), force_cap=force_cap),
+        freedom(a),
+        freedom(validate(a.ne, po2, a.options)),
+        freedom(validate(ne2, a.po, a.options)),
     )
 
 
-def separate_imposition(a, k, eps, force_cap=False):
+def separate_imposition(a, k, eps):
     """imposition_compare's (F(a), F(a_po), F(a_ne)) from three freedom calls."""
     po2 = list(a.po)
     po2[k] = 1.0 - eps
     ne2 = list(a.ne)
     ne2[k] = eps
     return (
-        freedom(a, force_cap=force_cap),
-        freedom(IntervalAssignment(a.options, a.ne, tuple(po2)), force_cap=force_cap),
-        freedom(IntervalAssignment(a.options, tuple(ne2), a.po), force_cap=force_cap),
+        freedom(a),
+        freedom(IntervalAssignment(a.options, a.ne, tuple(po2))),
+        freedom(IntervalAssignment(a.options, tuple(ne2), a.po)),
     )
 
 
@@ -285,7 +285,7 @@ class TestSharedSweep:
             annihilated["ne"] += f0 > 0.0 and f_ne == 0.0
         assert all(annihilated.values()), annihilated
 
-    def test_zero_widths_and_cap_override(self):
+    def test_zero_widths_and_past_24_options(self):
         # a point-valued option besides k: every freedom is 0
         a = validate([0.0, 0.3, 0.0], [1.0, 0.3, 1.0])
         rep = impact_compare(a, 0, 0.1)
@@ -293,24 +293,24 @@ class TestSharedSweep:
         # option k itself pinned by the perturbation: F(a_ne) = 0
         a = validate([0.2, 0.0, 0.0], [0.4, 1.0, 1.0])
         assert_losses(impact_compare(a, 0, 0.2), *separate_impact(a, 0, 0.2))
-        # beyond the cap when forced: equal widths keep it fast
+        # past 24 options: equal widths keep the work within its limit
         big = validate([0.0] * 25, [0.2] * 25)
-        rep = impact_compare(big, 3, 0.05, force_cap=True)
-        assert_losses(rep, *separate_impact(big, 3, 0.05, force_cap=True))
+        rep = impact_compare(big, 3, 0.05)
+        assert_losses(rep, *separate_impact(big, 3, 0.05))
         vac = validate([0.0] * 25, [0.1] * 24 + [1.0])
-        rep = imposition_compare(vac, 24, 0.3, force_cap=True)
-        assert_losses(rep, *separate_imposition(vac, 24, 0.3, force_cap=True))
+        rep = imposition_compare(vac, 24, 0.3)
+        assert_losses(rep, *separate_imposition(vac, 24, 0.3))
 
 
-CAP = (r"^25 options exceed the closed-form cap of 24 options "
-       r"\(pass force_cap=True to override\)$")
+CAP = (r"^the closed form would keep over \d+ subsets in one half of its sum, "
+       r"past its work limit$")
 
 
 class TestErrorOrder:
     """Each check runs before the freedom evaluation, in the same order."""
 
     def test_impact(self):
-        a = validate([0.0] * 25, [0.2] * 25)
+        a = hard_input(25)
         with pytest.raises(InvalidPerturbation,
                            match=r"^po\[0\] - 0.3 falls below ne\[0\] = 0$"):
             impact_compare(a, 0, 0.3)
@@ -340,7 +340,7 @@ class TestErrorOrder:
         with pytest.raises(NotVacuous, match=r"^coordinate 0 has ne = 0, po = 0.2; "
                            r"imposition needs ne = 0 and po = 1$"):
             imposition_compare(a, 0, 0.3)
-        vac = validate([0.0] * 25, [0.2] * 24 + [1.0])
+        vac = validate([0.0] * 25, [*hard_input(24).po, 1.0])
         with pytest.raises(DomainError, match=r"^eps = 1.3 outside \(0, 1\)$"):
             imposition_compare(vac, 24, 1.3)
         with pytest.raises(CapExceeded, match=CAP):
