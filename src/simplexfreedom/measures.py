@@ -163,23 +163,26 @@ def _volumes(
     integer over a power of two, so scaling all bounds and terms by one 2^e
     makes each G exact on Python integers: one sweep (see _sweep) for every
     distinct cut, each difference divided once, so either vertex gives the
-    same float.  A term with a zero width (k's own p <= n included) or with
-    t outside (sum(ne), sum(po)) leaves an empty or measure-zero region,
-    whose exact volume is 0; it is not swept.  Total for any bounds.
+    same float.  A zero width on any option (k's own p <= n included) or t
+    outside (sum(ne), sum(po)) leaves an empty or measure-zero region, whose
+    exact volume is 0; it is not swept, and a zero width on another option
+    returns before any scaling, since equal floats are equal rationals.
+    Total for any bounds.
     """
     m = len(ne)
+    if any(b <= a for i, (a, b) in enumerate(zip(ne, po)) if i != k):
+        return [0.0] * len(terms)
     ints, e = _scaled([*ne, *po, *(x for term in terms for x in term)])
     lo, hi = ints[:m], ints[m : 2 * m]
     del lo[k], hi[k]
     widths = [b - a for a, b in zip(lo, hi)]
     base, top = sum(lo), sum(hi)
-    live = min(widths) > 0
     masses = ints[2 * m :: 3]
     # each term's two cuts from the ne and from the po vertex, or None where
     # the region has measure zero
     both = [
         ((t - base - n, t - base - p), (top + p - t, top + n - t))
-        if live and n < p and base + n < t < top + p
+        if n < p and base + n < t < top + p
         else None
         for t, n, p in zip(masses, ints[2 * m + 1 :: 3], ints[2 * m + 2 :: 3])
     ]

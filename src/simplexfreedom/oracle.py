@@ -31,14 +31,14 @@ time, each coordinate read from its own stream seeked to the start of its
 counter run, which is only an order of evaluation: it changes no bit of any
 estimate.  So are the threads: the calling thread and, when the machine has
 a second CPU and the estimate more than one sub-block, one helper thread
-each take the next unevaluated sub-block until none is left, and the
-accepted count is their integer sum.  splitmix64 is counter-based, so any
-split of the counter space draws the same words (Steele, Lea & Flood,
-OOPSLA 2014; Salmon et al., SC 2011).  Each thread has its own sub-block
-workspace, allocated once per estimate: k coordinate rows, one spare row
-and two boolean masks.  The stream writes into the coordinate rows, a
-sorting network for k wires sorts them in place through the spare row, and
-the spare row then holds each test's sum in turn.
+run by a ThreadPoolExecutor each take the next unevaluated sub-block until
+none is left, and the accepted count is their integer sum.  splitmix64 is
+counter-based, so any split of the counter space draws the same words
+(Steele, Lea & Flood, OOPSLA 2014; Salmon et al., SC 2011).  Each thread
+has its own sub-block workspace, allocated once per estimate: k coordinate
+rows, one spare row and two boolean masks.  The stream writes into the
+coordinate rows, a sorting network for k wires sorts them in place through
+the spare row, and the spare row then holds each test's sum in turn.
 
 The contract above is stated in doubles, and a float implementation of it
 gets the same bits as this one, which evaluates it in the 53-bit integers
@@ -54,20 +54,21 @@ once per estimate from the float test as written.  A run of consecutive
 spacings a..z sums to one difference x[z+1] - x[a] of the sorted integers
 x = (0, u_0, ..., u_{k-1}, 2^53), so no spacing is formed on its own.
 
-numpy is imported only inside the functions that build or touch arrays, so
-importing the package does not load it.  It loads on the first sampling
-call: ``SplitMix64.uniforms``, the ``mc_*`` estimators, and so the
-``verify`` and ``crosstab`` commands.  The scalar stream, ``region_polygon``
-and the other five commands never load it.
+numpy is imported only inside the functions that build or touch arrays, and
+``concurrent.futures`` only inside the sampler, so importing the package
+loads neither.  numpy loads on the first sampling call:
+``SplitMix64.uniforms``, the ``mc_*`` estimators, and so the ``verify`` and
+``crosstab`` commands; ``concurrent.futures`` on the first estimate.  The
+scalar stream, ``region_polygon`` and the other five commands load neither.
 """
 
 from __future__ import annotations
 
+import bisect
 import functools
 import math
 import operator
 import os
-import threading
 import warnings
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
@@ -255,9 +256,13 @@ def _estimate(
     from one list, so a descheduled core holds up at most one sub-block,
     and the accepted count is the integer sum of theirs.  Each thread has
     its own workspace, allocated here: k + 1 uint64 rows and two boolean
-    rows of at most 2^15 words.  Every helper is joined before this returns
-    or raises, and an exception in a helper is raised here."""
+    rows of at most 2^15 words.  The helpers run on one ThreadPoolExecutor
+    per estimate, which starts no thread before its first submit, so one
+    sub-block starts none; leaving it joins every helper before this
+    returns or raises, and ``result()`` raises a helper's exception here."""
     seed = _integer(seed, "seed") & _MASK64
+    from concurrent.futures import ThreadPoolExecutor
+
     import numpy as np
 
     plans = [(*_ends(cells), _cuts(ne, po, scale)) for cells, ne, po in tests]
@@ -274,34 +279,19 @@ def _estimate(
     # rotate through and the tests then sum into, and two masks
     work = np.empty((threads, k + 1, width), dtype=np.uint64)
     masks = np.empty((threads, 2, width), dtype=bool)
-    claims = iter(subs)  # a list iterator: each next() is one atomic step
-    counts = [0] * threads
-    errors: list[BaseException] = []
-
-    def helper(t: int) -> None:
-        try:
-            counts[t] = _accepted(k, seed, plans, claims, work[t], *masks[t])
-        except BaseException as exc:  # raised on the calling thread below
-            errors.append(exc)
-
-    helpers = [threading.Thread(target=helper, args=(t,)) for t in range(1, threads)]
-    for thread in helpers:
-        thread.start()
-    try:
-        counts[0] = _accepted(k, seed, plans, claims, work[0], *masks[0])
-    finally:
-        for thread in helpers:
-            thread.join()
-    if errors:
-        raise errors[0]
-    accepted = sum(counts)
+    # one list iterator for every thread: each next() is one atomic step
+    claim = functools.partial(_accepted, k, seed, plans, iter(subs))
+    with ThreadPoolExecutor(threads) as pool:
+        helpers = [pool.submit(claim, work[t], *masks[t]) for t in range(1, threads)]
+        accepted = claim(work[0], *masks[0])
+        accepted += sum(f.result() for f in helpers)
     if accepted < MIN_ACCEPTED:
         warnings.warn(
             f"only {accepted} of {samples} samples accepted; the estimate is noisy",
             LowAcceptanceWarning,
             stacklevel=3,
         )
-    factor = _ipow(scale, k)
+    factor = math.prod([scale] * k, start=1.0)
     frac = accepted / samples
     se = factor * math.sqrt(frac * (1.0 - frac) / samples)
     return MCEstimate(
@@ -371,23 +361,12 @@ def _cuts(ne: float, po: float, scale: float = 1.0) -> tuple[int, int]:
 
     s * 2^-53 is exact and rounding is monotone, so the tested double is
     nondecreasing in s and each side of the test holds on a run of s;
-    bisection finds where each run ends.  No s passing gives (1, 0)."""
-
-    def first(passes) -> int:
-        # least s in [0, 2^53 + 1] with passes(s), for passes monotone in s;
-        # s never exceeds 2^53, so float(s) is exact
-        lo, hi = 0, _ONE + 1
-        while lo < hi:
-            mid = (lo + hi) >> 1
-            if passes(mid):
-                hi = mid
-            else:
-                lo = mid + 1
-        return lo
-
-    lo = first(lambda s: s * 2.0**-53 * scale >= ne)
-    hi = first(lambda s: not s * 2.0**-53 * scale <= po) - 1
-    return (lo, hi) if lo <= hi else (1, 0)
+    ``bisect`` finds where each run starts, reading no s past 2^53.  No s
+    passing gives (1, 0)."""
+    every = range(_ONE + 1)  # each s in it is exact as a float
+    lo = bisect.bisect_left(every, True, key=lambda s: s * 2.0**-53 * scale >= ne)
+    hi = bisect.bisect_left(every, True, key=lambda s: not s * 2.0**-53 * scale <= po)
+    return (lo, hi - 1) if lo < hi else (1, 0)
 
 
 def _within(
@@ -413,14 +392,6 @@ def _within(
     elif hi < _ONE:
         np.less_equal(x, np.uint64(hi), out=hit)
         ok &= hit
-
-
-def _ipow(x: float, n: int) -> float:
-    """x**n by repeated multiplication: exact control over rounding, no libm."""
-    r = 1.0
-    for _ in range(n):
-        r *= x
-    return r
 
 
 def _box_tests(a: IntervalAssignment) -> list:

@@ -610,13 +610,16 @@ class TestCommandLine:
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
+# the sampler's lazy imports: numpy and the thread pool
+SAMPLER_MODULES = ("numpy", "concurrent.futures")
+
 # one CLI call in a fresh interpreter; the last stderr line says whether
-# numpy was loaded by the time the command had run
+# each sampler module was loaded by the time the command had run
 CHILD = (
     "import sys\n"
     "from simplexfreedom.cli import main\n"
     "code = main(sys.argv[1:])\n"
-    "print('numpy' in sys.modules, file=sys.stderr)\n"
+    f"print([m in sys.modules for m in {SAMPLER_MODULES!r}], file=sys.stderr)\n"
     "sys.exit(code)\n"
 )
 
@@ -632,18 +635,21 @@ def fresh_interpreter(*args: str) -> subprocess.CompletedProcess:
 
 
 class TestNumpyFreeStart:
-    """The closed-form commands start and run without loading numpy; the
-    sampling commands load it on their first draw."""
+    """The closed-form commands start and run without loading numpy or
+    concurrent.futures; the sampling commands load both on their first
+    estimate."""
 
     def test_package_import_leaves_numpy_unloaded(self):
         proc = fresh_interpreter(
-            "-c", "import sys, simplexfreedom; print('numpy' in sys.modules)"
+            "-c",
+            "import sys, simplexfreedom\n"
+            f"print([m in sys.modules for m in {SAMPLER_MODULES!r}])",
         )
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout == "False\n"
+        assert proc.stdout == "[False, False]\n"
 
     @pytest.mark.parametrize(
-        "argv, loads_numpy",
+        "argv, loads_sampler",
         [
             (["validate"], False),
             (["measure", "--q", "0.9"], False),
@@ -654,10 +660,10 @@ class TestNumpyFreeStart:
         ],
         ids=lambda v: v[0] if isinstance(v, list) else None,
     )
-    def test_cold_call_matches_in_process(self, tmp_path, capsys, argv, loads_numpy):
+    def test_cold_call_matches_in_process(self, tmp_path, capsys, argv, loads_sampler):
         path = write(tmp_path, "a.json", F3_QUARTER)
         argv = [argv[0], path, *argv[1:]]
         proc = fresh_interpreter("-c", CHILD, *argv)
-        assert proc.stderr.splitlines()[-1] == str(loads_numpy), proc.stderr
+        assert proc.stderr.splitlines()[-1] == str([loads_sampler] * 2), proc.stderr
         code = main(argv)
         assert (proc.returncode, proc.stdout) == (code, capsys.readouterr().out)

@@ -341,6 +341,17 @@ class TestVolumes:
         assert freedom(a) == 0.0
         assert measure_report(a, 0.5).conditional_freedom == 0.0
 
+    def test_no_width_elsewhere_returns_before_scaling(self, monkeypatch):
+        def no_scaling(values):
+            raise AssertionError("bounds of a measure-zero region were scaled")
+
+        monkeypatch.setattr("simplexfreedom.measures._scaled", no_scaling)
+        terms = [(1.0, 0.0, 0.75), (0.5, 0.25, 0.5)]
+        for n, p in [(0.375, 0.375), (0.625, 0.125)]:  # zero width, crossed
+            ne, po = [0.125, 0.25, n], [0.5, 0.625, p]
+            for k in (0, 1):
+                assert _volumes(ne, po, k, terms) == [0.0, 0.0], (n, p, k)
+
 
 def tight_input(m: int) -> IntervalAssignment:
     """ne = 0 and distinct widths, sum(po) about 1.02 and every po_i above
@@ -830,6 +841,21 @@ class TestSubsetScan:
         )
         # a kept point-valued option leaves the slice no volume
         assert [e.conditional_freedom > 0.0 for e in scan.entries] == [True, False, False]
+
+    def test_only_entries_without_kept_points_are_scaled(self, monkeypatch):
+        # every entry keeps both interval options, of distinct widths, so
+        # each split is on one of them; the 4,094 that also keep an exact
+        # point are 0 before any scaling
+        scaled = []
+        monkeypatch.setattr(
+            "simplexfreedom.measures._scaled",
+            lambda values: scaled.append(values) or _scaled(values),
+        )
+        a = validate([0.0, 0.0] + [0.05] * 12, [0.5, 0.375] + [0.05] * 12)
+        scan = subset_scan(a)
+        assert len(scaled) == 1
+        assert len(scan.entries) == 2**12 - 1
+        assert [e.indices for e in scan.entries if e.conditional_freedom] == [(0, 1)]
 
     def test_refuses_25_points_before_listing(self, monkeypatch):
         listed = []
