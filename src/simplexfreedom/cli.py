@@ -114,7 +114,9 @@ def _load_json(data: bytes | str):
         except UnicodeDecodeError as exc:
             raise ParseError(f"input is not UTF-8: {exc}") from exc
     try:
-        return json.loads(data)
+        # every number is a float: an integer literal too large for one is
+        # inf, which validation rejects, not an OverflowError or a ValueError
+        return json.loads(data, parse_int=float)
     except json.JSONDecodeError as exc:
         raise ParseError(
             f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"

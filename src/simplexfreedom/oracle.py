@@ -26,19 +26,22 @@ one spacing per test for a box, one table row or column per test for a
 joint table.  They share one layout: rows come in blocks of 2^20 (the last
 holds the rest), coordinate i of row r in a block is word i*rows + r of that
 block, and each row is sorted ascending (any correct sort gives the same
-bits).  That layout is the contract.  A block is evaluated 2^15 rows at a
-time, each coordinate read from its own stream seeked to the start of its
-counter run, which is only an order of evaluation: it changes no bit of any
-estimate.  So are the threads: the calling thread and, when the machine has
-a second CPU and the estimate more than one sub-block, one helper thread
-run by a ThreadPoolExecutor each take the next unevaluated sub-block until
-none is left, and the accepted count is their integer sum.  splitmix64 is
+bits).  That layout is the contract.  A block is evaluated one sub-block of
+``_SUB`` rows at a time (2^15 on one thread, 2^16 on two), each coordinate
+read from the stream seeked to the start of its counter run, which is only
+an order of evaluation: it changes no bit of any estimate.  So are the
+threads: the calling thread and, when the machine has a second CPU and the
+estimate more than one sub-block, one helper thread run by a
+ThreadPoolExecutor each take the next unevaluated sub-block until none is
+left, and the accepted count is their integer sum.  splitmix64 is
 counter-based, so any split of the counter space draws the same words
 (Steele, Lea & Flood, OOPSLA 2014; Salmon et al., SC 2011).  Each thread
 has its own sub-block workspace, allocated once per estimate: k coordinate
-rows, one spare row and two boolean masks.  The stream writes into the
-coordinate rows, a sorting network for k wires sorts them in place through
-the spare row, and the spare row then holds each test's sum in turn.
+rows, one spare row and two boolean masks.  One kernel, ``_fill``, runs the
+update equations on a whole row in place, and fills each coordinate row
+with the spare row as its scratch; a sorting network for k wires then sorts
+the rows in place through the spare row, and the spare row then holds each
+test's sum in turn.  No row allocates a temporary.
 
 The contract above is stated in doubles, and a float implementation of it
 gets the same bits as this one, which evaluates it in the 53-bit integers
@@ -92,13 +95,6 @@ _CHUNK = 1 << 20
 # The kernel works on the 53-bit integers x = output >> 11 behind the
 # uniforms x * 2^-53; 1.0 is this integer.
 _ONE = 1 << 53
-# Rows per sub-block: each block is drawn, sorted and tested 2^15 rows at a
-# time so its working set ((k + 1) * 256 KiB of 64-bit words) stays in cache.
-# Only the order of evaluation depends on it; estimates do not.  On two
-# threads, 2^14 rows measured slower than one thread (each numpy call then
-# is too short to pay for handing over the interpreter lock), and 2^16 was
-# no faster than 2^15 while doubling the workspaces.
-_SUB = 1 << 15
 # Threads that evaluate one estimate's sub-blocks, the caller included: two
 # is the count measured to pay on a 2-core machine, and never more than the
 # CPUs this process may run on.  Each estimate also caps it at its own
@@ -109,6 +105,15 @@ _WORKERS = min(
     if hasattr(os, "sched_getaffinity")
     else os.cpu_count() or 1,
 )
+# Rows per sub-block: each block is drawn, sorted and tested 2^15 rows at a
+# time on one thread and 2^16 on two.  Only the order of evaluation depends
+# on it; estimates do not.  On one thread 2^15 keeps the working set
+# ((k + 1) * 256 KiB of 64-bit words) in cache, and 2^16 measured 10-35%
+# slower (M = 8: 49-52 -> 54-69 ms per 10^6 samples).  On two threads each
+# numpy call must be long enough to pay for handing over the interpreter
+# lock: 2^14 measured slower than one thread, and 2^16 faster than 2^15
+# (M = 8: 32-34 -> 30-32 ms).
+_SUB = _WORKERS << 15
 # An estimate from fewer accepted rows than this is noisy: the estimators
 # warn, verify prints the warning and crosstab reports it as low_acceptance.
 MIN_ACCEPTED = 100
@@ -181,15 +186,10 @@ class SplitMix64:
             raise DomainError("out must be writeable")
         doubles = out.dtype == np.float64
         z = out.view(np.uint64)
+        scratch = np.empty(min(n, _SUB), dtype=np.uint64)
         for start in range(0, n, _SUB):
             w = z[start : start + _SUB]
-            np.add(_offsets()[: len(w)], np.uint64(self._state), out=w)
-            w ^= w >> np.uint64(30)
-            w *= np.uint64(_MIX1)
-            w ^= w >> np.uint64(27)
-            w *= np.uint64(_MIX2)
-            w ^= w >> np.uint64(31)
-            w >>= np.uint64(11)
+            _fill(w, self._state, scratch[: len(w)])
             if doubles:
                 # exact: w < 2^53, and the float lands on its own word
                 np.multiply(w, 2.0**-53, out=out[start : start + _SUB])
@@ -198,14 +198,36 @@ class SplitMix64:
 
 
 @functools.cache
-def _offsets() -> np.ndarray:
-    """Read-only counter offsets k * 0x9E3779B97F4A7C15 for k = 1..2^15."""
+def _constants() -> tuple:
+    """Read-only counter offsets k * 0x9E3779B97F4A7C15 for k = 1.._SUB,
+    then the shifts and multipliers of the update equations as numpy
+    scalars."""
     import numpy as np
 
     offsets = np.arange(1, _SUB + 1, dtype=np.uint64)
     offsets *= np.uint64(_GOLDEN)
     offsets.flags.writeable = False
-    return offsets
+    return offsets, *map(np.uint64, (30, _MIX1, 27, _MIX2, 31, 11))
+
+
+def _fill(w: np.ndarray, state: int, scratch: np.ndarray) -> None:
+    """The 53-bit integers output >> 11 of the next len(w) <= _SUB words of
+    the stream at ``state``, written into the uint64 row ``w`` with every
+    shift going through ``scratch``, a uint64 row as long: the update
+    equations, and no temporaries."""
+    import numpy as np
+
+    offsets, s30, m1, s27, m2, s31, s11 = _constants()
+    np.add(offsets[: len(w)], np.uint64(state & _MASK64), out=w)
+    np.right_shift(w, s30, out=scratch)
+    w ^= scratch
+    w *= m1
+    np.right_shift(w, s27, out=scratch)
+    w ^= scratch
+    w *= m2
+    np.right_shift(w, s31, out=scratch)
+    w ^= scratch
+    w >>= s11
 
 
 @dataclass(frozen=True)
@@ -256,7 +278,7 @@ def _estimate(
     from one list, so a descheduled core holds up at most one sub-block,
     and the accepted count is the integer sum of theirs.  Each thread has
     its own workspace, allocated here: k + 1 uint64 rows and two boolean
-    rows of at most 2^15 words.  The helpers run on one ThreadPoolExecutor
+    rows of at most ``_SUB`` words.  The helpers run on one ThreadPoolExecutor
     per estimate, which starts no thread before its first submit, so one
     sub-block starts none; leaving it joins every helper before this
     returns or raises, and ``result()`` raises a helper's exception here."""
@@ -316,10 +338,10 @@ def _accepted(k, seed, plans, claims, work, ok, hit) -> int:
         for done, rows, start, b in claims:
             *u, spare = work[:, :b]
             # coordinate i of the block is the counter run starting at word
-            # done*k + i*rows; this sub-block reads it from word start on
+            # done*k + i*rows; this sub-block reads it from word start on,
+            # through the spare row, which is idle until the network starts
             for i, row in enumerate(u):
-                offset = done * k + i * rows + start
-                SplitMix64(seed + offset * _GOLDEN).uniforms(b, out=row)
+                _fill(row, seed + (done * k + i * rows + start) * _GOLDEN, spare)
             for i, j in _network(k):
                 np.minimum(u[i], u[j], out=spare)
                 np.maximum(u[i], u[j], out=u[j])

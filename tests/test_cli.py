@@ -380,6 +380,30 @@ class TestExitCodes:
         path.write_text("{oops")
         assert run(RunConfig("measure", str(path))) == 2
 
+    @pytest.mark.parametrize("digits", [400, 5_000], ids=["past-float", "past-int-limit"])
+    @pytest.mark.parametrize(
+        "command,doc,where",
+        [
+            ("measure", {"options": [{"ne": 0, "po": "BIG"}, {"ne": 0, "po": 1}]}, "po[0]"),
+            ("crosstab", {**VACUOUS_2X2, "cols": [{"ne": "BIG", "po": 1}] * 2}, "ne[0]"),
+            (
+                "crosstab",
+                {**VACUOUS_2X2, "joint": [[0.25, 0.25], [0.25, "BIG"]]},
+                "joint[1][1]",
+            ),
+        ],
+        ids=["option-bound", "margin", "joint-cell"],
+    )
+    def test_huge_integer_literal_is_inf_and_exit_1(
+        self, tmp_path, capsys, command, doc, where, digits
+    ):
+        # read as a float, the literal is inf, as 1e400 is
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps(doc).replace('"BIG"', "1" + "0" * digits))
+        assert main([command, str(path), "--samples", "1000"]) == 1
+        message = json.loads(capsys.readouterr().out)["error"]["message"]
+        assert where in message and "inf" in message
+
     @pytest.mark.parametrize(
         "command,content,message",
         [

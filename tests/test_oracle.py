@@ -480,16 +480,22 @@ PINNED = [
 ]
 # Recorded before blocks were evaluated in 2^15-row sub-blocks: one row, a
 # block shorter than one sub-block, a partial last sub-block, exactly one
-# block, and a second block that ends in a partial sub-block.
+# block, and a second block that ends in a partial sub-block.  The rows at
+# 65,535 and 65,537 samples, which straddle the 2^16-row sub-block of two
+# threads, were recorded while every sub-block held 2^15 rows.
 SEAMS = [
     ("plain", 2, 1, "0x1.0000000000000p+0", "0x0.0p+0"),
     ("plain", 2, 32_767, "0x1.088e111c22384p-1", "0x1.69d78c42f6b82p-9"),
     ("plain", 2, 32_769, "0x1.088deee42237cp-1", "0x1.69d4ba34e74d1p-9"),
+    ("plain", 2, 65_535, "0x1.0937093709371p-1", "0x1.ffac0e4f996c8p-10"),
+    ("plain", 2, 65_537, "0x1.0938f6c70938fp-1", "0x1.ffa9eb12a5c81p-10"),
     ("plain", 2, 1_048_576, "0x1.0a1c400000000p-1", "0x1.ff99bdabb4e92p-12"),
     ("plain", 2, 1_081_347, "0x1.0a1beea5968c9p-1", "0x1.f7c9ee684eb4cp-12"),
     ("plain", 5, 1, "0x0.0p+0", "0x0.0p+0"),
     ("plain", 5, 32_767, "0x1.0fd21fa43f488p-3", "0x1.eb555efd29a6dp-10"),
     ("plain", 5, 32_769, "0x1.132dd9a44cb76p-3", "0x1.ede06ef2fb7a4p-10"),
+    ("plain", 5, 65_535, "0x1.1089108910891p-3", "0x1.5bcf196e82cc3p-10"),
+    ("plain", 5, 65_537, "0x1.15beea4115befp-3", "0x1.5e98d6f59a714p-10"),
     ("plain", 5, 1_048_576, "0x1.148a000000000p-3", "0x1.5df4dbc39bad8p-12"),
     ("plain", 5, 1_081_347, "0x1.14759f306eb16p-3", "0x1.58922bab223d0p-12"),
     ("plain", 8, 1, "0x0.0p+0", "0x0.0p+0"),
@@ -500,11 +506,15 @@ SEAMS = [
     ("conditional", 3, 1, "0x1.f5c28f5c28f5bp-2", "0x0.0p+0"),
     ("conditional", 3, 32_767, "0x1.7cf8a805caecdp-2", "0x1.2f60327273450p-10"),
     ("conditional", 3, 32_769, "0x1.7d299508fee3cp-2", "0x1.2f33d324c3d34p-10"),
+    ("conditional", 3, 65_535, "0x1.7d37d960cf235p-2", "0x1.acbc2d5d72729p-11"),
+    ("conditional", 3, 65_537, "0x1.7dc7de6117617p-2", "0x1.ac0ada4288cf2p-11"),
     ("conditional", 3, 1_048_576, "0x1.7cb80ffffffffp-2", "0x1.ad565367302f8p-13"),
     ("conditional", 3, 1_081_347, "0x1.7cc56b54d03f5p-2", "0x1.a6b82457103c4p-13"),
     ("joint", (3, 4), 1, "0x0.0p+0", "0x0.0p+0"),
     ("joint", (3, 4), 32_767, "0x1.7c62f8c5f18bep-2", "0x1.5de0cbf5cc048p-9"),
     ("joint", (3, 4), 32_769, "0x1.77fd1005dff44p-2", "0x1.5d067fdc77d93p-9"),
+    ("joint", (3, 4), 65_535, "0x1.7cf17cf17cf18p-2", "0x1.eef2438d1fbf4p-10"),
+    ("joint", (3, 4), 65_537, "0x1.7bf2840d7bf28p-2", "0x1.eeac8ab417f2dp-10"),
     ("joint", (3, 4), 1_048_576, "0x1.7ab0800000000p-2", "0x1.ee571ba3bea1dp-12"),
     ("joint", (3, 4), 1_081_347, "0x1.7ab9aba02e5f0p-2", "0x1.e6cd2db5fbcc9p-12"),
 ]
@@ -644,7 +654,9 @@ def test_an_error_in_either_thread_reaches_the_caller(monkeypatch, fails_on_help
     assert est == mc_freedom(_pinned_assignment(4), 1_000_000, 4)
 
 
-@pytest.mark.parametrize("samples, started", [(1, 0), (1 << 15, 0), ((1 << 15) + 1, 1)])
+@pytest.mark.parametrize(
+    "samples, started", [(1, 0), (oracle._SUB, 0), (oracle._SUB + 1, 1)]
+)
 def test_one_sub_block_starts_no_thread(monkeypatch, samples, started):
     monkeypatch.setattr(oracle, "_WORKERS", 2)
     starts = []
@@ -668,6 +680,23 @@ def test_sampler_memory_is_bounded_by_sub_blocks():
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2**20
+
+
+def test_sampler_memory_is_its_workspaces():
+    # each thread's k + 1 uint64 rows and two boolean masks of _SUB words,
+    # and room for the Python objects of one estimate: filling a row takes
+    # no temporary array
+    a = _pinned_assignment(8)
+    threads, k = oracle._WORKERS, a.m - 1
+    workspaces = threads * (k + 1) * oracle._SUB * 8 + threads * 2 * oracle._SUB
+    mc_freedom(a, 1_000_000, 8)  # the cached constants are not the estimate's
+    tracemalloc.start()
+    try:
+        mc_freedom(a, 1_000_000, 8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= workspaces + 64 * 2**10
 
 
 class TestRegionPolygon:
