@@ -16,6 +16,7 @@ import functools
 import io
 import json
 import math
+import operator
 import sys
 import warnings
 from dataclasses import dataclass
@@ -422,7 +423,8 @@ def run(cfg: RunConfig) -> int:
         "command": cfg.command,
         "input": cfg.input_path,
         "results": results,
-        "seed": cfg.seed if sampled else None,
+        # the seed as the stream uses it, reduced mod 2^64
+        "seed": operator.index(cfg.seed) % (1 << 64) if sampled else None,
         "samples": cfg.samples if sampled else None,
     }
     if cfg.format == "csv":
@@ -481,9 +483,7 @@ def _build_parser() -> _Parser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    cfg = RunConfig(**vars(_build_parser().parse_args(argv)))
-    cfg.seed %= 1 << 64
-    return run(cfg)
+    return run(RunConfig(**vars(_build_parser().parse_args(argv))))
 
 if __name__ == "__main__":
     sys.exit(main())

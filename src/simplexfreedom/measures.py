@@ -17,12 +17,12 @@ difference of two G values.  So F, the conditional freedom at a mass q and
 sensitivity's three F values take one enumeration per request.  The same
 region measured from the possibility vertex (p_i = po_i - y_i) is a sum of
 the same form over the same widths, at the mass sum(po) - t instead of
-t - sum(ne); each mass is summed from the vertex nearer it, since the
-enumeration is pruned at that distance.  F and the conditional split on the
-option whose width the fewest others share, which costs the equal-width
-grouping least.  The rival measures A (anxiety ordering over sorted
-possibilities) and I (a Hartley-style bit count) use only the possibility
-vector and are insensitive to distinctions F resolves.
+t - sum(ne); each mass is summed from the vertex of the box nearer it,
+since the enumeration is pruned at that distance.  F and the conditional
+split on the option whose width the fewest others share, which costs the
+equal-width grouping least.  The rival measures A (anxiety ordering over
+sorted possibilities) and I (a Hartley-style bit count) use only the
+possibility vector and are insensitive to distinctions F resolves.
 """
 
 from __future__ import annotations
@@ -156,17 +156,19 @@ def _volumes(
                      = G(Sigma hi + p - t) - G(Sigma hi + n - t)   (po vertex)
 
     the second measuring the same region in the reflected coordinates
-    po_i - p_i, which have the same widths.  The terms of each mass take the
-    vertex whose largest cut over them is smaller, since _sweep prunes at
-    its largest cut, so masses near opposite vertices each sum from their
-    own; the terms of one mass still share their cuts.  Every float is an
-    integer over a power of two, so scaling all bounds and terms by one 2^e
-    makes each G exact on Python integers: one sweep (see _sweep) for every
-    distinct cut, each difference divided once, so either vertex gives the
-    same float.  A zero width on any option (k's own p <= n included) or t
-    outside (sum(ne), sum(po)) leaves an empty or measure-zero region, whose
-    exact volume is 0; it is not swept, and a zero width on another option
-    returns before any scaling, since equal floats are equal rationals.
+    po_i - p_i, which have the same widths.  _sweep prunes at its largest
+    cut, so each mass t sums from the vertex of the box nearer it: the po
+    vertex when sum(po) - t < t - sum(ne) over all M options, else the ne
+    vertex.  A term inside option k's own bounds (ne_k <= n, p <= po_k) has
+    its cuts within that distance; a term outside them is as exact, but may
+    raise the largest cut.  Every float is an integer over a power of two,
+    so scaling all bounds and terms by one 2^e makes each G exact on Python
+    integers: one sweep (see _sweep) for every distinct cut, each difference
+    divided once, so either vertex gives the same float.  A zero width on
+    any option (k's own p <= n included) or t outside (sum(ne), sum(po))
+    leaves an empty or measure-zero region, whose exact volume is 0; it is
+    not swept, and a zero width on another option returns before any
+    scaling, since equal floats are equal rationals.
     Total for any bounds.
     """
     m = len(ne)
@@ -174,27 +176,22 @@ def _volumes(
         return [0.0] * len(terms)
     ints, e = _scaled([*ne, *po, *(x for term in terms for x in term)])
     lo, hi = ints[:m], ints[m : 2 * m]
+    # a mass t is nearer the po vertex when sum(po) - t < t - sum(ne)
+    middle = sum(lo) + sum(hi)
     del lo[k], hi[k]
     widths = [b - a for a, b in zip(lo, hi)]
     base, top = sum(lo), sum(hi)
-    masses = ints[2 * m :: 3]
-    # each term's two cuts from the ne and from the po vertex, or None where
-    # the region has measure zero
-    both = [
-        ((t - base - n, t - base - p), (top + p - t, top + n - t))
+    # each term's two cuts from its mass's nearer vertex, or None where the
+    # region has measure zero
+    splits = [
+        (
+            (top + p - t, top + n - t)
+            if middle < 2 * t
+            else (t - base - n, t - base - p)
+        )
         if n < p and base + n < t < top + p
         else None
-        for t, n, p in zip(masses, ints[2 * m + 1 :: 3], ints[2 * m + 2 :: 3])
-    ]
-    # the largest cut of each mass's terms from each vertex
-    reach: dict[int, tuple[int, int]] = {}
-    for t, pair in zip(masses, both):
-        if pair:
-            ne_cut, po_cut = reach.get(t, (0, 0))
-            reach[t] = (max(ne_cut, pair[0][0]), max(po_cut, pair[1][0]))
-    splits = [
-        pair[reach[t][1] < reach[t][0]] if pair else None
-        for t, pair in zip(masses, both)
+        for t, n, p in zip(ints[2 * m :: 3], ints[2 * m + 1 :: 3], ints[2 * m + 2 :: 3])
     ]
     cuts = sorted({c for pair in splits if pair for c in pair})
     g = dict(zip(cuts, _sweep(widths, cuts, m - 1))) if cuts else {}

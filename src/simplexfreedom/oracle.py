@@ -167,34 +167,22 @@ class SplitMix64:
         """Uniform double in [0, 1) with 53 random bits."""
         return (self.next_uint64() >> 11) * 2.0**-53
 
-    def uniforms(self, n: int, out: np.ndarray | None = None) -> np.ndarray:
-        """The next n draws of the stream as one vectorized block, written
-        into ``out`` (a writeable array of shape (n,)) when it is given.  A
-        float64 row, and the row made when ``out`` is None, receives the
-        doubles (output >> 11) * 2^-53; a uint64 row receives the 53-bit
-        integers output >> 11 themselves, which the sampler works on."""
+    def uniforms(self, n: int) -> np.ndarray:
+        """The next n draws of the stream as one vectorized float64 row of
+        the doubles (output >> 11) * 2^-53."""
         import numpy as np
 
         n = _integer(n, "n")
         if n < 0:
             raise DomainError(f"n = {n} must be >= 0")
-        if out is None:
-            out = np.empty(n)
-        elif out.shape != (n,) or out.dtype not in (np.float64, np.uint64):
-            raise DomainError(f"out must be a float64 or uint64 array of shape ({n},)")
-        elif not out.flags.writeable:
-            raise DomainError("out must be writeable")
-        doubles = out.dtype == np.float64
-        z = out.view(np.uint64)
+        row = np.empty(n, dtype=np.uint64)
         scratch = np.empty(min(n, _SUB), dtype=np.uint64)
         for start in range(0, n, _SUB):
-            w = z[start : start + _SUB]
+            w = row[start : start + _SUB]
             _fill(w, self._state, scratch[: len(w)])
-            if doubles:
-                # exact: w < 2^53, and the float lands on its own word
-                np.multiply(w, 2.0**-53, out=out[start : start + _SUB])
             self._state = (self._state + len(w) * _GOLDEN) & _MASK64
-        return out
+        # exact: every word is below 2^53, and each double lands on its own word
+        return np.multiply(row, 2.0**-53, out=row.view(np.float64))
 
 
 @functools.cache

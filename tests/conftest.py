@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import pytest
 
@@ -62,6 +63,23 @@ def hard_input(m: int) -> IntervalAssignment:
     gen = SplitMix64(7700 + m)
     raw = [0.9 + 0.2 * gen.random() for _ in range(m)]
     return validate([0.0] * m, [2.0 * r / math.fsum(raw) for r in raw])
+
+
+def brute_volume(ne, po, mass: float = 1.0, exponent: int | None = None) -> float:
+    """sum_T (-1)^|T| max(0, mass - W_T)^exponent over all 2^M subsets,
+    with exponent M - 1 unless given, on Fractions (no pruning, grouping or
+    splitting), rounded once."""
+    m = len(ne)
+    power = m - 1 if exponent is None else exponent
+    args = [Fraction(mass) - sum(map(Fraction, ne))]  # args[T] = mass - W_T
+    for n, p in zip(ne, po):
+        width = Fraction(p) - Fraction(n)
+        args += [a - width for a in args]
+    total = Fraction(0)
+    for mask, arg in enumerate(args):
+        if arg > 0:
+            total += (-1) ** mask.bit_count() * arg ** power
+    return float(total)
 
 
 def random_assignment_with_volume(

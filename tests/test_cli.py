@@ -12,6 +12,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from simplexfreedom import oracle
@@ -511,6 +512,19 @@ class TestExitCodes:
             reports.append(json.loads(capsys.readouterr().out))
         assert reports[0]["seed"] == reports[1]["seed"] == 18446744073709551615
         assert reports[0]["results"] == reports[1]["results"]
+
+    def test_run_reports_the_seed_it_sampled_with(self, tmp_path, capsys):
+        # run reduces the seed mod 2^64 as the stream does, so a RunConfig
+        # reports what the command line reports for the same seed, a numpy
+        # integer seed included
+        for command, doc in (("verify", F3_QUARTER), ("crosstab", VACUOUS_2X2)):
+            path = write(tmp_path, f"{command}.json", doc)
+            code = main([command, path, "--samples", "1000", "--seed", "-1"])
+            expected = json.loads(capsys.readouterr().out)
+            assert expected["seed"] == 2**64 - 1
+            for seed in (-1, np.int64(-1)):
+                cfg = RunConfig(command, path, samples=1000, seed=seed)
+                assert run_json(capsys, cfg) == (code, expected)
 
     def test_main_unknown_command_exit_3(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -38,7 +38,12 @@ from simplexfreedom import (
 )
 from simplexfreedom.measures import _scaled, _sweep, _volumes
 
-from conftest import assert_within_4se, hard_input, random_valid_assignment
+from conftest import (
+    assert_within_4se,
+    brute_volume,
+    hard_input,
+    random_valid_assignment,
+)
 
 
 @st.composite
@@ -172,23 +177,6 @@ class TestConditionalFreedom:
         a = validate([0, 0], [1, 1])
         with pytest.raises(DomainError):
             freedom_conditional(a, q)
-
-
-def brute_volume(ne, po, mass: float = 1.0, exponent: int | None = None) -> float:
-    """sum_T (-1)^|T| max(0, mass - W_T)^exponent over all 2^M subsets,
-    with exponent M - 1 unless given, on Fractions (no pruning, grouping or
-    splitting), rounded once."""
-    m = len(ne)
-    power = m - 1 if exponent is None else exponent
-    args = [Fraction(mass) - sum(map(Fraction, ne))]  # args[T] = mass - W_T
-    for n, p in zip(ne, po):
-        width = Fraction(p) - Fraction(n)
-        args += [a - width for a in args]
-    total = Fraction(0)
-    for mask, arg in enumerate(args):
-        if arg > 0:
-            total += (-1) ** mask.bit_count() * arg ** power
-    return float(total)
 
 
 def exactness_cases(gen: SplitMix64, m: int) -> list[tuple[list, list]]:

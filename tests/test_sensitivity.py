@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import pytest
 
@@ -24,7 +25,9 @@ from simplexfreedom import (
     validate,
 )
 
-from conftest import hard_input, random_valid_assignment
+from simplexfreedom.measures import _scaled, _sweep
+
+from conftest import brute_volume, hard_input, random_valid_assignment
 
 
 class TestDominanceCondition:
@@ -300,6 +303,58 @@ class TestSharedSweep:
         vac = validate([0.0] * 25, [0.1] * 24 + [1.0])
         rep = imposition_compare(vac, 24, 0.3)
         assert_losses(rep, *separate_imposition(vac, 24, 0.3))
+
+
+class TestVertex:
+    def test_each_report_sweeps_from_the_nearer_vertex(self, monkeypatch):
+        # a report's three freedoms are at mass 1 with option k's bounds
+        # inside [ne_k, po_k], so its one sweep prunes at the distance from
+        # mass 1 to the nearer vertex of the box: min(1 - sum(ne),
+        # sum(po) - 1), scaled; the losses are the Fraction sums rounded once
+        tops = []
+
+        def spy(widths, cuts, exponent):
+            tops.append(max(cuts))
+            return _sweep(widths, cuts, exponent)
+
+        monkeypatch.setattr("simplexfreedom.measures._sweep", spy)
+        seen = set()
+        for seed in range(88):
+            gen = SplitMix64(8200 + seed)
+            m = 2 + seed % 11
+            k = int(gen.random() * m)
+            if seed % 2:
+                a = random_valid_assignment(gen, m, tight=seed % 4 == 1)
+                room = min(a.po[k] - a.ne[k], sum(a.po) - 1.0, 1.0 - sum(a.ne))
+                delta = 0.999 * max(room, 0.0) * gen.random()
+                po_k = max(a.po[k] - delta, a.ne[k])
+                ne_k = min(a.ne[k] + delta, a.po[k])
+                compare, size = impact_compare, delta
+            else:
+                ne, po = [0.0] * m, [1.0] * m
+                for j in range(m):
+                    if j != k:
+                        po[j] = 0.02 + 0.98 * gen.random()
+                        ne[j] = po[j] * gen.random() * 0.9 / m
+                a = validate(ne, po)
+                eps = 0.01 + 0.98 * gen.random()
+                po_k, ne_k = 1.0 - eps, eps
+                compare, size = imposition_compare, eps
+            tops.clear()
+            rep = compare(a, k, size)
+            po2, ne2 = list(a.po), list(a.ne)
+            po2[k], ne2[k] = po_k, ne_k
+            f0 = brute_volume(a.ne, a.po)
+            assert_losses(rep, f0, brute_volume(a.ne, po2), brute_volume(ne2, a.po))
+            if not tops:  # every region has measure zero
+                continue
+            e = _scaled([*a.ne, *a.po, po_k, ne_k])[1]
+            below = 1 - sum(map(Fraction, a.ne))
+            above = sum(map(Fraction, a.po)) - 1
+            assert tops == [min(below, above) * 2**e], (a, k, size)
+            seen.add((compare.__name__, "po" if above < below else "ne"))
+        assert seen == {(c.__name__, v) for c in (impact_compare, imposition_compare)
+                        for v in ("po", "ne")}
 
 
 CAP = (r"^the closed form would keep over \d+ subsets in one half of its sum, "
