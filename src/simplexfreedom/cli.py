@@ -1,11 +1,11 @@
 """Command-line interface: file ingestion, dispatch, machine-readable reports.
 
 Commands map one-to-one onto the library; ``COMMANDS`` is the one table of
-them (handler and help line).  One flat parser, built once per process,
-takes the command, the input and the flags in any order.  Reports are JSON
-(default) or CSV on stdout; numbers carry 12 significant digits; identical
-inputs and flags produce byte-identical output.  Exit codes: 0 success,
-1 validation/domain error, 2 I/O or parse error, 3 usage error.
+them (input parser, handler and help line).  One flat parser, built once per
+process, takes the command, the input and the flags in any order.  Reports
+are JSON (default) or CSV on stdout; numbers carry 12 significant digits;
+identical inputs and flags produce byte-identical output.  Exit codes:
+0 success, 1 validation/domain error, 2 I/O or parse error, 3 usage error.
 """
 
 from __future__ import annotations
@@ -13,10 +13,8 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
-import io
 import json
 import math
-import operator
 import sys
 import warnings
 from dataclasses import dataclass
@@ -60,12 +58,10 @@ def _parse_entries(entries, key: str, label_prefix: str) -> IntervalAssignment:
         for field in ("ne", "po"):
             if field not in entry:
                 raise ParseError(f'{key}[{i}] is missing "{field}"')
-            if not isinstance(entry[field], (int, float)) or isinstance(
-                entry[field], bool
-            ):
+            if not isinstance(entry[field], float):
                 raise ParseError(f"{key}[{i}].{field} must be a number")
-        ne.append(float(entry["ne"]))
-        po.append(float(entry["po"]))
+        ne.append(entry["ne"])
+        po.append(entry["po"])
         labels.append(str(entry.get("name", f"{label_prefix}{i + 1}")))
     return validate(ne, po, labels)
 
@@ -95,16 +91,14 @@ def parse_crosstable(data: bytes | str) -> ct.CrossTable:
         raise ParseError("top-level value must be an object")
     rows = _parse_marginals(doc, "rows")
     cols = _parse_marginals(doc, "cols")
-    joint = None
-    if doc.get("joint") is not None:
-        raw = doc["joint"]
-        if not isinstance(raw, list) or not all(isinstance(r, list) for r in raw):
+    joint = doc.get("joint")
+    if joint is not None:
+        if not isinstance(joint, list) or not all(isinstance(r, list) for r in joint):
             raise ParseError('"joint" must be a matrix (list of lists)')
-        for i, row in enumerate(raw):
+        for i, row in enumerate(joint):
             for j, v in enumerate(row):
-                if not isinstance(v, (int, float)) or isinstance(v, bool):
+                if not isinstance(v, float):
                     raise ParseError(f"joint[{i}][{j}] must be a number")
-        joint = tuple(tuple(float(v) for v in row) for row in raw)
     return ct.CrossTable(row_marginals=rows, col_marginals=cols, joint=joint)
 
 
@@ -141,11 +135,10 @@ def _sample(estimator, *args):
 
 
 # ---------------------------------------------------------------------------
-# command handlers: each returns its results dict
+# command handlers: each takes its parsed input and returns its results dict
 
 
-def _cmd_validate(cfg: RunConfig, data: bytes):
-    a = parse_assignment(data)
+def _cmd_validate(cfg: RunConfig, a: IntervalAssignment):
     t = tighten(a)
     return {
         "valid": True,
@@ -159,8 +152,7 @@ def _cmd_validate(cfg: RunConfig, data: bytes):
     }
 
 
-def _cmd_measure(cfg: RunConfig, data: bytes):
-    a = parse_assignment(data)
+def _cmd_measure(cfg: RunConfig, a: IntervalAssignment):
     rep = measures.measure_report(a, q=cfg.q)
     results = {
         "m": rep.m,
@@ -177,8 +169,7 @@ def _cmd_measure(cfg: RunConfig, data: bytes):
     return results
 
 
-def _cmd_verify(cfg: RunConfig, data: bytes):
-    a = parse_assignment(data)
+def _cmd_verify(cfg: RunConfig, a: IntervalAssignment):
     f = measures.freedom(a)
     est, warning = _sample(oracle.mc_freedom, a, cfg.samples, cfg.seed)
     if warning is not None:
@@ -194,8 +185,7 @@ def _cmd_verify(cfg: RunConfig, data: bytes):
     }
 
 
-def _cmd_subsets(cfg: RunConfig, data: bytes):
-    a = parse_assignment(data)
+def _cmd_subsets(cfg: RunConfig, a: IntervalAssignment):
     scan = measures.subset_scan(a)
     return {
         "entries": [
@@ -211,8 +201,7 @@ def _cmd_subsets(cfg: RunConfig, data: bytes):
     }
 
 
-def _cmd_sensitivity(cfg: RunConfig, data: bytes):
-    a = parse_assignment(data)
+def _cmd_sensitivity(cfg: RunConfig, a: IntervalAssignment):
     k = cfg.index - 1  # library indices are 0-based
     if cfg.eps is not None:
         rep = sensitivity.imposition_compare(a, k, cfg.eps)
@@ -224,8 +213,7 @@ def _cmd_sensitivity(cfg: RunConfig, data: bytes):
     return {"mode": mode, **vars(rep), "index": rep.index + 1}
 
 
-def _cmd_crosstab(cfg: RunConfig, data: bytes):
-    table = parse_crosstable(data)
+def _cmd_crosstab(cfg: RunConfig, table: ct.CrossTable):
     rows, cols = table.row_marginals, table.col_marginals
     k, m = table.shape
     cells = []
@@ -264,9 +252,7 @@ def _cmd_crosstab(cfg: RunConfig, data: bytes):
     if table.joint is not None:
         dep = []
         row_sums = [math.fsum(r) for r in table.joint]
-        col_sums = [
-            math.fsum(table.joint[i][j] for i in range(k)) for j in range(m)
-        ]
+        col_sums = [math.fsum(col) for col in zip(*table.joint)]
         for i in range(k):
             dep_row = []
             for j in range(m):
@@ -281,20 +267,26 @@ def _cmd_crosstab(cfg: RunConfig, data: bytes):
     return results
 
 
-def _cmd_region(cfg: RunConfig, data: bytes):
-    a = parse_assignment(data)
+def _cmd_region(cfg: RunConfig, a: IntervalAssignment):
     return vars(oracle.region_polygon(a))
 
 
-# the command table: name -> (handler, one-line help)
+# the command table: name -> (input parser, handler, one-line help)
 COMMANDS = {
-    "validate": (_cmd_validate, "check an assignment file and report its tightened form"),
-    "measure": (_cmd_measure, "closed-form freedom, ambiguity, and nonspecificity"),
-    "verify": (_cmd_verify, "cross-check closed-form freedom against Monte Carlo"),
-    "subsets": (_cmd_subsets, "conditional freedom over point-conditioned subsets"),
-    "sensitivity": (_cmd_sensitivity, "possibility- vs necessity-side impact at one option"),
-    "crosstab": (_cmd_crosstab, "cell bounds, cases, and joint freedom of a cross table"),
-    "region": (_cmd_region, "feasible-region polygon for a three-option assignment"),
+    "validate": (parse_assignment, _cmd_validate,
+                 "check an assignment file and report its tightened form"),
+    "measure": (parse_assignment, _cmd_measure,
+                "closed-form freedom, ambiguity, and nonspecificity"),
+    "verify": (parse_assignment, _cmd_verify,
+               "cross-check closed-form freedom against Monte Carlo"),
+    "subsets": (parse_assignment, _cmd_subsets,
+                "conditional freedom over point-conditioned subsets"),
+    "sensitivity": (parse_assignment, _cmd_sensitivity,
+                    "possibility- vs necessity-side impact at one option"),
+    "crosstab": (parse_crosstable, _cmd_crosstab,
+                 "cell bounds, cases, and joint freedom of a cross table"),
+    "region": (parse_assignment, _cmd_region,
+               "feasible-region polygon for a three-option assignment"),
 }
 
 
@@ -344,22 +336,14 @@ def _emit_csv(cfg: RunConfig, report: dict) -> None:
     """One row per report; subsets emit one row per entry, crosstab one per
     cell (documented column orders in the README)."""
     res = report["results"]
-    head = {
-        "command": report["command"],
-        "input": report["input"],
-        "seed": report["seed"],
-        "samples": report["samples"],
-    }
-    rows: list[dict]
+    head = {key: report[key] for key in ("command", "input", "seed", "samples")}
     if cfg.command == "subsets":
         rows = [
             {
                 **head,
                 "subset": ";".join(e["options"]),
                 "q": e["q"],
-                "conditional_freedom_unnormalized": e[
-                    "conditional_freedom_unnormalized"
-                ],
+                "conditional_freedom_unnormalized": e["conditional_freedom_unnormalized"],
                 "omitted": res["omitted"],
             }
             for e in res["entries"]
@@ -368,34 +352,27 @@ def _emit_csv(cfg: RunConfig, report: dict) -> None:
                "omitted": res["omitted"]}]
     elif cfg.command == "crosstab":
         joint = res.get("joint_freedom") or {}
-        rows = []
         dep = res.get("dependency")
-        for i in range(res["rows"]):
-            for j in range(res["cols"]):
-                rows.append(
-                    {
-                        **head,
-                        "row": i + 1,
-                        "col": j + 1,
-                        **res["cells"][i][j],
-                        "dependency": dep[i][j] if dep is not None else None,
-                        "case1_count": len(res["case1_census"]),
-                        "case2_count": res["case2_count"],
-                        "joint_mean": joint.get("mean"),
-                        "joint_std_error": joint.get("std_error"),
-                    }
-                )
+        rows = [
+            {
+                **head,
+                "row": i + 1,
+                "col": j + 1,
+                **res["cells"][i][j],
+                "dependency": dep[i][j] if dep is not None else None,
+                "case1_count": len(res["case1_census"]),
+                "case2_count": res["case2_count"],
+                "joint_mean": joint.get("mean"),
+                "joint_std_error": joint.get("std_error"),
+            }
+            for i in range(res["rows"])
+            for j in range(res["cols"])
+        ]
     else:
-        flat = dict(head)
-        for key, value in res.items():
-            flat[key] = value
-        rows = [flat]
-    buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=list(rows[0].keys()))
+        rows = [{**head, **res}]
+    writer = csv.DictWriter(sys.stdout, fieldnames=list(rows[0].keys()))
     writer.writeheader()
-    for row in rows:
-        writer.writerow({k: _csv_cell(v) for k, v in row.items()})
-    sys.stdout.write(buf.getvalue())
+    writer.writerows({k: _csv_cell(v) for k, v in row.items()} for row in rows)
 
 
 def run(cfg: RunConfig) -> int:
@@ -410,21 +387,23 @@ def run(cfg: RunConfig) -> int:
     except OSError as exc:
         sys.stderr.write(f"cannot read {cfg.input_path}: {exc}\n")
         return 2
+    sampled = cfg.command in ("verify", "crosstab")
+    parse, handler, _ = COMMANDS[cfg.command]
     try:
-        results = COMMANDS[cfg.command][0](cfg, data)
+        results = handler(cfg, parse(data))
+        # the seed as the stream uses it, checked after the command's own errors
+        seed = oracle._seed(cfg.seed) if sampled else None
     except ParseError as exc:
         _emit_error(cfg, "ParseError", str(exc))
         return 2
     except FreedomError as exc:
         _emit_error(cfg, type(exc).__name__, str(exc))
         return 1
-    sampled = cfg.command in ("verify", "crosstab")
     report = {
         "command": cfg.command,
         "input": cfg.input_path,
         "results": results,
-        # the seed as the stream uses it, reduced mod 2^64
-        "seed": operator.index(cfg.seed) % (1 << 64) if sampled else None,
+        "seed": seed,
         "samples": cfg.samples if sampled else None,
     }
     if cfg.format == "csv":
@@ -465,7 +444,7 @@ def _build_parser() -> _Parser:
         description="Freedom/nonspecificity measures for interval probability "
         "assignments.",
         epilog="commands:\n"
-        + "\n".join(f"  {name:<13}{text}" for name, (_, text) in COMMANDS.items()),
+        + "\n".join(f"  {name:<13}{text}" for name, (*_, text) in COMMANDS.items()),
         formatter_class=argparse.RawDescriptionHelpFormatter,
         argument_default=argparse.SUPPRESS,  # the defaults are RunConfig's
     )

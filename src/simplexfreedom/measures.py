@@ -159,16 +159,15 @@ def _volumes(
     po_i - p_i, which have the same widths.  _sweep prunes at its largest
     cut, so each mass t sums from the vertex of the box nearer it: the po
     vertex when sum(po) - t < t - sum(ne) over all M options, else the ne
-    vertex.  A term inside option k's own bounds (ne_k <= n, p <= po_k) has
-    its cuts within that distance; a term outside them is as exact, but may
-    raise the largest cut.  Every float is an integer over a power of two,
-    so scaling all bounds and terms by one 2^e makes each G exact on Python
-    integers: one sweep (see _sweep) for every distinct cut, each difference
-    divided once, so either vertex gives the same float.  A zero width on
-    any option (k's own p <= n included) or t outside (sum(ne), sum(po))
-    leaves an empty or measure-zero region, whose exact volume is 0; it is
-    not swept, and a zero width on another option returns before any
-    scaling, since equal floats are equal rationals.
+    vertex.  A term inside option k's own bounds (ne_k <= n, p <= po_k), as
+    every caller's is, has its cuts within that distance.  Every float is an
+    integer over a power of two, so scaling all bounds and terms by one 2^e
+    makes each G exact on Python integers: one sweep (see _sweep) for every
+    distinct cut, each difference divided once, so either vertex gives the
+    same float.  A zero width on any option (k's own p <= n included) or t
+    outside (sum(ne), sum(po)) leaves an empty or measure-zero region, whose
+    exact volume is 0; it is not swept, and a zero width on another option
+    returns before any scaling, since equal floats are equal rationals.
     Total for any bounds.
     """
     m = len(ne)

@@ -108,14 +108,14 @@ def impact_compare(a: IntervalAssignment, k: int, delta: float) -> SensitivityRe
 def _report(
     a: IntervalAssignment, k: int, size: float, po_k: float, ne_k: float
 ) -> SensitivityReport:
-    """Losses from lowering option k's possibility to po_k and from raising
-    its necessity to ne_k, all three freedoms from one sweep over the other
-    options; a new bound past the other one leaves freedom exactly 0."""
+    """Losses from lowering option k's possibility to po_k <= po[k] and from
+    raising its necessity to ne_k >= ne[k], all three freedoms from one sweep
+    over the other options: nested regions, so no loss is negative, and a
+    new bound past the other one leaves freedom exactly 0."""
     _require_measurable(a)
     terms = [(1.0, a.ne[k], a.po[k]), (1.0, a.ne[k], po_k), (1.0, ne_k, a.po[k])]
     f0, f_po, f_ne = _volumes(list(a.ne), list(a.po), k, terms)
-    loss_po = max(0.0, f0 - f_po)
-    loss_ne = max(0.0, f0 - f_ne)
+    loss_po, loss_ne = f0 - f_po, f0 - f_ne
     return SensitivityReport(
         index=k,
         delta=size,
@@ -133,7 +133,8 @@ def imposition_compare(a: IntervalAssignment, k: int, eps: float) -> Sensitivity
 
     Either imposition may annihilate the region entirely (freedom 0); the
     loss then equals F(a).  The dominance condition decides this comparison
-    exactly whenever the losses differ.
+    exactly whenever the losses differ.  Each imposition is clamped to the
+    bounds, which may lie within TOLERANCE of vacuous; one they meet loses 0.
     """
     _check_index(a, k)
     eps = float(eps)
@@ -144,4 +145,4 @@ def imposition_compare(a: IntervalAssignment, k: int, eps: float) -> Sensitivity
             f"coordinate {k} has ne = {a.ne[k]:.12g}, po = {a.po[k]:.12g}; "
             "imposition needs ne = 0 and po = 1"
         )
-    return _report(a, k, eps, 1.0 - eps, eps)
+    return _report(a, k, eps, min(1.0 - eps, a.po[k]), max(eps, a.ne[k]))

@@ -427,6 +427,16 @@ class TestExitCodes:
                 json.dumps({**VACUOUS_2X2, "joint": [[0.5, "x"], [0, 0]]}).encode(),
                 "joint[0][1] must be a number",
             ),
+            (
+                "crosstab",
+                json.dumps({**VACUOUS_2X2, "joint": [[0.5, 0.5], [True, 0]]}).encode(),
+                "joint[1][0] must be a number",
+            ),
+            (
+                "crosstab",
+                json.dumps({**VACUOUS_2X2, "rows": [{"ne": 0, "po": None}] * 2}).encode(),
+                "rows[0].po must be a number",
+            ),
             ("measure", b"\xff", "input is not UTF-8: "),
         ],
         ids=[
@@ -437,6 +447,8 @@ class TestExitCodes:
             "crosstab-not-object",
             "joint-not-matrix",
             "joint-cell-not-number",
+            "joint-cell-bool",
+            "margin-bound-null",
             "not-utf8",
         ],
     )
@@ -449,6 +461,29 @@ class TestExitCodes:
         assert report["error"]["type"] == "ParseError"
         assert report["error"]["message"].startswith(message)
         assert err == f"ParseError: {report['error']['message']}\n"
+
+    @pytest.mark.parametrize(
+        "command,doc",
+        [
+            ("measure", {"options": [{"ne": 0, "po": 1}, {"ne": 0, "po": 1}]}),
+            ("crosstab", {**VACUOUS_2X2, "joint": [[1, 0], [0, 0]]}),
+        ],
+        ids=["options", "margins-and-joint"],
+    )
+    def test_integer_literals_read_as_floats(self, tmp_path, capsys, command, doc):
+        # 0 and 1 print the report of 0.0 and 1.0, from the same path; every
+        # digit in doc is a whole number 0 or 1
+        path = tmp_path / "in.json"
+        reports = []
+        ints = json.dumps(doc)
+        for text in (ints, ints.replace("0", "0.0").replace("1", "1.0")):
+            path.write_text(text)
+            for fmt in ("json", "csv"):
+                code = run(RunConfig(command, str(path), samples=1000, format=fmt))
+                reports.append((text, fmt, code, *capsys.readouterr()))
+        assert "0.0" not in reports[0][0] and "0.0" in reports[2][0]
+        assert [r[1:] for r in reports[:2]] == [r[1:] for r in reports[2:]]
+        assert reports[0][2] == 0
 
     def test_validation_exit_1(self, tmp_path, capsys):
         doc = {"options": [{"ne": 0.9, "po": 0.95}, {"ne": 0.5, "po": 0.6}]}
@@ -525,6 +560,18 @@ class TestExitCodes:
             for seed in (-1, np.int64(-1)):
                 cfg = RunConfig(command, path, samples=1000, seed=seed)
                 assert run_json(capsys, cfg) == (code, expected)
+
+    def test_non_integer_seed_is_a_domain_error(self, tmp_path, capsys):
+        # on every sampled path, the joint sample skipped past the cell cap too
+        docs = (("verify", F3_QUARTER), ("crosstab", VACUOUS_2X2),
+                ("crosstab", {"rows": [{"ne": 0, "po": 1}] * 4,
+                              "cols": [{"ne": 0, "po": 1}] * 4}))
+        for command, doc in docs:
+            path = write(tmp_path, f"{command}.json", doc)
+            code, rep = run_json(capsys, RunConfig(command, path, samples=1000, seed=1.5))
+            assert code == 1
+            assert rep["error"] == {"type": "DomainError",
+                                    "message": "seed must be an integer, got 1.5"}
 
     def test_main_unknown_command_exit_3(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -25,7 +25,7 @@ from simplexfreedom import (
     validate,
 )
 
-from simplexfreedom.measures import _scaled, _sweep
+from simplexfreedom.measures import _scaled, _sweep, _volumes
 
 from conftest import brute_volume, hard_input, random_valid_assignment
 
@@ -210,6 +210,49 @@ class TestImpositionCompare:
             if rep.verdict != expected:
                 violations.append((ne, po, k, eps, rep))
         assert not violations, f"first violation: {violations[0]}"
+
+    def test_near_vacuous_impositions_stay_inside_the_bounds(self, monkeypatch):
+        # a coordinate within TOLERANCE of vacuous is accepted; an eps below
+        # its gap imposes nothing on that side, so no term _volumes receives
+        # reaches outside [ne_k, po_k], and each loss is the Fraction sum of
+        # the clamped imposition
+        calls = []
+
+        def spy(ne, po, k, terms):
+            calls.append((ne[k], po[k], terms))
+            return _volumes(ne, po, k, terms)
+
+        monkeypatch.setattr("simplexfreedom.sensitivity._volumes", spy)
+        cases = [([0.0, 0.4 + 5e-11], [1.0 - 1e-10, 0.6], 0, 1e-11)]
+        for seed in range(60):
+            gen = SplitMix64(9100 + seed)
+            m = 2 + seed % 11
+            k = int(gen.random() * m)
+            ne, po = [0.0] * m, [1.0] * m
+            for j in range(m):
+                if j != k:
+                    po[j] = 0.02 + 0.98 * gen.random()
+                    ne[j] = po[j] * gen.random() * 0.9 / m
+            ne[k] = 1e-9 * gen.random() if seed % 2 else 0.0
+            po[k] = 1.0 - 1e-9 * gen.random()
+            gap = max(ne[k], 1.0 - po[k])
+            # below the gap, between the two sides' gaps, or past both
+            eps = (gap * gen.random(), min(ne[k], 1.0 - po[k]) + 1e-12,
+                   0.01 + 0.98 * gen.random())[seed % 3]
+            cases.append((ne, po, k, eps))
+        for ne, po, k, eps in cases:
+            a = validate(ne, po)
+            calls.clear()
+            rep = imposition_compare(a, k, eps)
+            for ne_k, po_k, terms in calls:
+                for _, n, p in terms:
+                    assert p <= n or ne_k <= n <= p <= po_k, (ne, po, k, eps, n, p)
+            if a.m <= 8:
+                po2, ne2 = list(a.po), list(a.ne)
+                po2[k], ne2[k] = min(1.0 - eps, a.po[k]), max(eps, a.ne[k])
+                f0 = brute_volume(a.ne, a.po)
+                assert rep.loss_from_po == f0 - brute_volume(a.ne, po2)
+                assert rep.loss_from_ne == f0 - brute_volume(ne2, a.po)
 
 
 def separate_impact(a, k, delta):
