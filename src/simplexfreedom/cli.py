@@ -1,11 +1,14 @@
 """Command-line interface: file ingestion, dispatch, machine-readable reports.
 
-Commands map one-to-one onto the library; ``COMMANDS`` is the one table of
-them (input parser, handler and help line).  One flat parser, built once per
-process, takes the command, the input and the flags in any order.  Reports
-are JSON (default) or CSV on stdout; numbers carry 12 significant digits;
-identical inputs and flags produce byte-identical output.  Exit codes:
-0 success, 1 validation/domain error, 2 I/O or parse error, 3 usage error.
+``main(argv)`` is the one entry point, for the console and for in-process
+use: it returns the exit code, and a usage error that argparse catches
+raises ``SystemExit(3)``.  Commands map one-to-one onto the library;
+``COMMANDS`` is the one table of them (input parser, handler and help line).
+One flat parser, built once per process, takes the command, the input and
+the flags in any order.  Reports are JSON (default) or CSV on stdout; numbers
+carry 12 significant digits; identical inputs and flags produce byte-identical
+output.  Exit codes: 0 success, 1 validation/domain error, 2 I/O or parse
+error, 3 usage error.
 """
 
 from __future__ import annotations
@@ -17,24 +20,11 @@ import json
 import math
 import sys
 import warnings
-from dataclasses import dataclass
 
 from . import crosstab as ct
 from . import measures, oracle, sensitivity
 from .core import IntervalAssignment, classify, tighten, validate
 from .errors import FreedomError, LowAcceptanceWarning, ParseError, TooManyCells
-
-@dataclass
-class RunConfig:
-    command: str
-    input_path: str
-    samples: int = 1_000_000
-    seed: int = 42
-    q: float | None = None
-    index: int | None = None  # 1-based option index, as on the command line
-    delta: float | None = None
-    eps: float | None = None
-    format: str = "json"
 
 
 def _round12(obj):
@@ -138,7 +128,7 @@ def _sample(estimator, *args):
 # command handlers: each takes its parsed input and returns its results dict
 
 
-def _cmd_validate(cfg: RunConfig, a: IntervalAssignment):
+def _cmd_validate(cfg: argparse.Namespace, a: IntervalAssignment):
     t = tighten(a)
     return {
         "valid": True,
@@ -152,7 +142,7 @@ def _cmd_validate(cfg: RunConfig, a: IntervalAssignment):
     }
 
 
-def _cmd_measure(cfg: RunConfig, a: IntervalAssignment):
+def _cmd_measure(cfg: argparse.Namespace, a: IntervalAssignment):
     rep = measures.measure_report(a, q=cfg.q)
     results = {
         "m": rep.m,
@@ -169,7 +159,7 @@ def _cmd_measure(cfg: RunConfig, a: IntervalAssignment):
     return results
 
 
-def _cmd_verify(cfg: RunConfig, a: IntervalAssignment):
+def _cmd_verify(cfg: argparse.Namespace, a: IntervalAssignment):
     f = measures.freedom(a)
     est, warning = _sample(oracle.mc_freedom, a, cfg.samples, cfg.seed)
     if warning is not None:
@@ -185,7 +175,7 @@ def _cmd_verify(cfg: RunConfig, a: IntervalAssignment):
     }
 
 
-def _cmd_subsets(cfg: RunConfig, a: IntervalAssignment):
+def _cmd_subsets(cfg: argparse.Namespace, a: IntervalAssignment):
     scan = measures.subset_scan(a)
     return {
         "entries": [
@@ -201,7 +191,7 @@ def _cmd_subsets(cfg: RunConfig, a: IntervalAssignment):
     }
 
 
-def _cmd_sensitivity(cfg: RunConfig, a: IntervalAssignment):
+def _cmd_sensitivity(cfg: argparse.Namespace, a: IntervalAssignment):
     k = cfg.index - 1  # library indices are 0-based
     if cfg.eps is not None:
         rep = sensitivity.imposition_compare(a, k, cfg.eps)
@@ -213,7 +203,7 @@ def _cmd_sensitivity(cfg: RunConfig, a: IntervalAssignment):
     return {"mode": mode, **vars(rep), "index": rep.index + 1}
 
 
-def _cmd_crosstab(cfg: RunConfig, table: ct.CrossTable):
+def _cmd_crosstab(cfg: argparse.Namespace, table: ct.CrossTable):
     rows, cols = table.row_marginals, table.col_marginals
     k, m = table.shape
     cells = []
@@ -267,7 +257,7 @@ def _cmd_crosstab(cfg: RunConfig, table: ct.CrossTable):
     return results
 
 
-def _cmd_region(cfg: RunConfig, a: IntervalAssignment):
+def _cmd_region(cfg: argparse.Namespace, a: IntervalAssignment):
     return vars(oracle.region_polygon(a))
 
 
@@ -290,10 +280,8 @@ COMMANDS = {
 }
 
 
-def _check_flags(cfg: RunConfig) -> str | None:
+def _check_flags(cfg: argparse.Namespace) -> str | None:
     """Return a usage-error message when a flag is outside its range."""
-    if cfg.command not in COMMANDS:
-        return f"unknown command {cfg.command!r}"
     if cfg.samples < 1:
         return "--samples must be a positive integer"
     if cfg.q is not None and not (0.0 < cfg.q <= 1.0):
@@ -311,8 +299,6 @@ def _check_flags(cfg: RunConfig) -> str | None:
             return "--index is 1-based and must be >= 1"
         if cfg.delta is not None and cfg.eps is not None:
             return "--delta and --eps are mutually exclusive"
-    if cfg.format not in ("json", "csv"):
-        return "--format must be json or csv"
     return None
 
 
@@ -332,7 +318,7 @@ def _csv_cell(v) -> str:
     return str(v)
 
 
-def _emit_csv(cfg: RunConfig, report: dict) -> None:
+def _emit_csv(cfg: argparse.Namespace, report: dict) -> None:
     """One row per report; subsets emit one row per entry, crosstab one per
     cell (documented column orders in the README)."""
     res = report["results"]
@@ -375,47 +361,7 @@ def _emit_csv(cfg: RunConfig, report: dict) -> None:
     writer.writerows({k: _csv_cell(v) for k, v in row.items()} for row in rows)
 
 
-def run(cfg: RunConfig) -> int:
-    """Execute one command; print its report; return the exit code."""
-    usage = _check_flags(cfg)
-    if usage is not None:
-        sys.stderr.write(f"usage error: {usage}\n")
-        return 3
-    try:
-        with open(cfg.input_path, "rb") as fh:
-            data = fh.read()
-    except OSError as exc:
-        sys.stderr.write(f"cannot read {cfg.input_path}: {exc}\n")
-        return 2
-    sampled = cfg.command in ("verify", "crosstab")
-    parse, handler, _ = COMMANDS[cfg.command]
-    try:
-        results = handler(cfg, parse(data))
-        # the seed as the stream uses it, checked after the command's own errors
-        seed = oracle._seed(cfg.seed) if sampled else None
-    except ParseError as exc:
-        _emit_error(cfg, "ParseError", str(exc))
-        return 2
-    except FreedomError as exc:
-        _emit_error(cfg, type(exc).__name__, str(exc))
-        return 1
-    report = {
-        "command": cfg.command,
-        "input": cfg.input_path,
-        "results": results,
-        "seed": seed,
-        "samples": cfg.samples if sampled else None,
-    }
-    if cfg.format == "csv":
-        _emit_csv(cfg, report)
-    else:
-        _emit_json(report)
-    if cfg.command == "verify" and not results["within_4se"]:
-        return 1
-    return 0
-
-
-def _emit_error(cfg: RunConfig, kind: str, message: str) -> None:
+def _emit_error(cfg: argparse.Namespace, kind: str, message: str) -> None:
     _emit_json(
         {
             "command": cfg.command,
@@ -446,23 +392,58 @@ def _build_parser() -> _Parser:
         epilog="commands:\n"
         + "\n".join(f"  {name:<13}{text}" for name, (*_, text) in COMMANDS.items()),
         formatter_class=argparse.RawDescriptionHelpFormatter,
-        argument_default=argparse.SUPPRESS,  # the defaults are RunConfig's
     )
     parser.add_argument("command", choices=COMMANDS, metavar="command",
                         help="one of the commands below")
     parser.add_argument("input_path", metavar="input", help="path to the JSON input file")
-    parser.add_argument("--samples", type=int)
-    parser.add_argument("--seed", type=int)
+    parser.add_argument("--samples", type=int, default=1_000_000)
+    parser.add_argument("--seed", type=int, default=42)
     parser.add_argument("--q", type=float)
     parser.add_argument("--index", type=int, help="1-based option index (sensitivity)")
     parser.add_argument("--delta", type=float)
     parser.add_argument("--eps", type=float)
-    parser.add_argument("--format", choices=("json", "csv"))
+    parser.add_argument("--format", choices=("json", "csv"), default="json")
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    return run(RunConfig(**vars(_build_parser().parse_args(argv))))
+    """Execute one command line; print its report; return the exit code."""
+    cfg = _build_parser().parse_args(argv)
+    usage = _check_flags(cfg)
+    if usage is not None:
+        sys.stderr.write(f"usage error: {usage}\n")
+        return 3
+    try:
+        with open(cfg.input_path, "rb") as fh:
+            data = fh.read()
+    except OSError as exc:
+        sys.stderr.write(f"cannot read {cfg.input_path}: {exc}\n")
+        return 2
+    sampled = cfg.command in ("verify", "crosstab")
+    parse, handler, _ = COMMANDS[cfg.command]
+    try:
+        results = handler(cfg, parse(data))
+    except ParseError as exc:
+        _emit_error(cfg, "ParseError", str(exc))
+        return 2
+    except FreedomError as exc:
+        _emit_error(cfg, type(exc).__name__, str(exc))
+        return 1
+    report = {
+        "command": cfg.command,
+        "input": cfg.input_path,
+        "results": results,
+        # the seed as the stream uses it: reduced mod 2^64
+        "seed": oracle._seed(cfg.seed) if sampled else None,
+        "samples": cfg.samples if sampled else None,
+    }
+    if cfg.format == "csv":
+        _emit_csv(cfg, report)
+    else:
+        _emit_json(report)
+    if cfg.command == "verify" and not results["within_4se"]:
+        return 1
+    return 0
 
 if __name__ == "__main__":
     sys.exit(main())

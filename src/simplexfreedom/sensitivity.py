@@ -28,6 +28,7 @@ from .errors import (
     ValidationError,
 )
 from .measures import _require_measurable, _volumes
+from .oracle import _integer
 
 PO_DOMINATES = "po_dominates"
 NE_DOMINATES = "ne_dominates"
@@ -47,15 +48,17 @@ class SensitivityReport:
     verdict: str
 
 
-def _check_index(a: IntervalAssignment, k: int) -> None:
+def _check_index(a: IntervalAssignment, k: int) -> int:
+    k = _integer(k, "index")
     if not 0 <= k < a.m:
         raise IndexOutOfRange(f"index {k} outside [0, {a.m - 1}]")
+    return k
 
 
 def dominance_condition(a: IntervalAssignment, k: int) -> bool:
     """True when the possibility side dominates at coordinate k:
     sum of the other necessities < 1 - sum of the other possibilities."""
-    _check_index(a, k)
+    k = _check_index(a, k)
     s_ne = math.fsum(a.ne[j] for j in range(a.m) if j != k)
     s_po = math.fsum(a.po[j] for j in range(a.m) if j != k)
     return s_ne < 1.0 - s_po
@@ -77,7 +80,7 @@ def impact_compare(a: IntervalAssignment, k: int, delta: float) -> SensitivityRe
     Raises InvalidPerturbation when either perturbed assignment would be
     invalid.
     """
-    _check_index(a, k)
+    k = _check_index(a, k)
     delta = float(delta)
     if delta < 0.0 or not math.isfinite(delta):
         raise DomainError(f"delta = {delta!r} must be finite and nonnegative")
@@ -136,7 +139,7 @@ def imposition_compare(a: IntervalAssignment, k: int, eps: float) -> Sensitivity
     exactly whenever the losses differ.  Each imposition is clamped to the
     bounds, which may lie within TOLERANCE of vacuous; one they meet loses 0.
     """
-    _check_index(a, k)
+    k = _check_index(a, k)
     eps = float(eps)
     if not (0.0 < eps < 1.0):
         raise DomainError(f"eps = {eps!r} outside (0, 1)")

@@ -6,24 +6,20 @@ import argparse
 import csv
 import io
 import json
-import math
 import os
 import subprocess
 import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from simplexfreedom import oracle
 from simplexfreedom.cli import (
     COMMANDS,
-    RunConfig,
     _build_parser,
     main,
     parse_assignment,
     parse_crosstable,
-    run,
 )
 from simplexfreedom.errors import ParseError, ValidationError
 
@@ -53,8 +49,8 @@ def write(tmp_path, name, doc):
     return str(path)
 
 
-def run_json(capsys, cfg):
-    code = run(cfg)
+def run_json(capsys, argv):
+    code = main(argv)
     out = capsys.readouterr().out
     return code, json.loads(out)
 
@@ -97,7 +93,7 @@ class TestParsers:
 class TestCommands:
     def test_measure_worked_case(self, tmp_path, capsys):
         path = write(tmp_path, "a.json", EX1_CASE1)
-        code, rep = run_json(capsys, RunConfig("measure", path))
+        code, rep = run_json(capsys, ["measure", path])
         assert code == 0
         assert rep["command"] == "measure"
         assert rep["results"]["freedom"] == pytest.approx(0.2, abs=1e-12)
@@ -106,13 +102,13 @@ class TestCommands:
 
     def test_measure_with_conditional(self, tmp_path, capsys):
         path = write(tmp_path, "a.json", F3_QUARTER)
-        code, rep = run_json(capsys, RunConfig("measure", path, q=0.5))
+        code, rep = run_json(capsys, ["measure", path, "--q", "0.5"])
         assert code == 0
         assert "conditional_freedom_unnormalized" in rep["results"]
 
     def test_validate_reports_tightened_form(self, tmp_path, capsys):
         path = write(tmp_path, "a.json", EX1_CASE1)
-        code, rep = run_json(capsys, RunConfig("validate", path))
+        code, rep = run_json(capsys, ["validate", path])
         assert code == 0
         assert rep["results"]["valid"] is True
         assert rep["results"]["classification"] == "partial"
@@ -121,14 +117,14 @@ class TestCommands:
     def test_validate_infeasible_exit_1(self, tmp_path, capsys):
         doc = {"options": [{"ne": 0.7, "po": 0.8}, {"ne": 0.5, "po": 0.6}]}
         path = write(tmp_path, "bad.json", doc)
-        code, rep = run_json(capsys, RunConfig("validate", path))
+        code, rep = run_json(capsys, ["validate", path])
         assert code == 1
         assert "Infeasible" in rep["error"]["message"]
 
     def test_verify_worked_case(self, tmp_path, capsys):
         path = write(tmp_path, "a.json", F3_QUARTER)
         code, rep = run_json(
-            capsys, RunConfig("verify", path, samples=100_000, seed=42)
+            capsys, ["verify", path, "--samples", "100000", "--seed", "42"]
         )
         assert code == 0
         assert rep["results"]["within_4se"] is True
@@ -141,7 +137,7 @@ class TestCommands:
 
         monkeypatch.setattr(oracle, "mc_freedom", far_off)
         path = write(tmp_path, "a.json", F3_QUARTER)
-        code, rep = run_json(capsys, RunConfig("verify", path, samples=100))
+        code, rep = run_json(capsys, ["verify", path, "--samples", "100"])
         assert code == 1
         assert rep["results"]["within_4se"] is False
 
@@ -149,7 +145,7 @@ class TestCommands:
         doc = {"options": [{"ne": 0.0, "po": 0.13125}] * 8}
         path = write(tmp_path, "a.json", doc)
         for fmt in ("json", "csv"):
-            run(RunConfig("verify", path, samples=20_000, format=fmt))
+            main(["verify", path, "--samples", "20000", "--format", fmt])
             assert capsys.readouterr().err == (
                 "LowAcceptanceWarning: only 0 of 20000 samples accepted; "
                 "the estimate is noisy\n"
@@ -164,7 +160,7 @@ class TestCommands:
             ]
         }
         path = write(tmp_path, "a.json", doc)
-        code, rep = run_json(capsys, RunConfig("subsets", path))
+        code, rep = run_json(capsys, ["subsets", path])
         assert code == 0
         assert rep["results"]["omitted"] == 2
         entry = rep["results"]["entries"][0]
@@ -181,7 +177,7 @@ class TestCommands:
         }
         path = write(tmp_path, "a.json", doc)
         code, rep = run_json(
-            capsys, RunConfig("sensitivity", path, index=3, delta=0.1)
+            capsys, ["sensitivity", path, "--index", "3", "--delta", "0.1"]
         )
         assert code == 0
         assert rep["results"]["mode"] == "perturbation"
@@ -197,18 +193,21 @@ class TestCommands:
             ]
         }
         path = write(tmp_path, "a.json", doc)
-        code, rep = run_json(capsys, RunConfig("sensitivity", path, index=3, eps=0.4))
+        code, rep = run_json(
+            capsys, ["sensitivity", path, "--index", "3", "--eps", "0.4"]
+        )
         assert code == 0
         assert rep["results"]["mode"] == "imposition"
         assert rep["results"]["verdict"] == "po_dominates"
 
     def test_sensitivity_requires_index(self, tmp_path, capsys):
         path = write(tmp_path, "a.json", EX1_CASE1)
-        assert run(RunConfig("sensitivity", path)) == 3
+        assert main(["sensitivity", path]) == 3
 
     def test_sensitivity_rejects_both_modes(self, tmp_path):
         path = write(tmp_path, "a.json", EX1_CASE1)
-        assert run(RunConfig("sensitivity", path, index=1, delta=0.1, eps=0.1)) == 3
+        argv = ["sensitivity", path, "--index", "1", "--delta", "0.1", "--eps", "0.1"]
+        assert main(argv) == 3
 
     def test_crosstab_with_joint(self, tmp_path, capsys):
         doc = {
@@ -218,7 +217,7 @@ class TestCommands:
         }
         path = write(tmp_path, "t.json", doc)
         code, rep = run_json(
-            capsys, RunConfig("crosstab", path, samples=20_000, seed=7)
+            capsys, ["crosstab", path, "--samples", "20000", "--seed", "7"]
         )
         assert code == 0
         res = rep["results"]
@@ -233,7 +232,7 @@ class TestCommands:
             "cols": [{"ne": 0.7, "po": 1.0}, {"ne": 0.0, "po": 0.3}],
         }
         path = write(tmp_path, "t.json", doc)
-        code, rep = run_json(capsys, RunConfig("crosstab", path, samples=1000))
+        code, rep = run_json(capsys, ["crosstab", path, "--samples", "1000"])
         assert code == 0
         assert rep["results"]["case1_census"] == [[1, 1]]
 
@@ -242,7 +241,7 @@ class TestCommands:
         for bound, low in ((0.5, True), (1.0, False)):
             side = [{"ne": 1.0 - bound, "po": bound}] * 2
             path = write(tmp_path, "t.json", {"rows": side, "cols": side})
-            assert run(RunConfig("crosstab", path, samples=1000)) == 0
+            assert main(["crosstab", path, "--samples", "1000"]) == 0
             out, err = capsys.readouterr()
             assert json.loads(out)["results"]["joint_freedom"]["low_acceptance"] is low
             assert err == ""
@@ -253,7 +252,7 @@ class TestCommands:
             "cols": [{"ne": 0, "po": 1}] * 4,
         }
         path = write(tmp_path, "t.json", doc)
-        code, rep = run_json(capsys, RunConfig("crosstab", path, samples=1000))
+        code, rep = run_json(capsys, ["crosstab", path, "--samples", "1000"])
         assert code == 0
         assert rep["results"]["joint_freedom"] is None
         assert "cap" in rep["results"]["joint_freedom_skipped"]
@@ -268,7 +267,7 @@ class TestCommands:
             "joint": [[0.3, 0.2, 0.0], [0.1, 0.4, 0.0]],
         }
         path = write(tmp_path, "t.json", doc)
-        code, rep = run_json(capsys, RunConfig("crosstab", path, samples=1000))
+        code, rep = run_json(capsys, ["crosstab", path, "--samples", "1000"])
         assert code == 0
         dep = rep["results"]["dependency"]
         assert [row[2] for row in dep] == [None, None]
@@ -279,14 +278,14 @@ class TestCommands:
 
     def test_region(self, tmp_path, capsys):
         path = write(tmp_path, "a.json", F3_QUARTER)
-        code, rep = run_json(capsys, RunConfig("region", path))
+        code, rep = run_json(capsys, ["region", path])
         assert code == 0
         assert rep["results"]["area_fraction"] == pytest.approx(0.25, abs=1e-12)
         assert all(len(v) == 2 for v in rep["results"]["vertices"])
 
     def test_region_wrong_dimension(self, tmp_path, capsys):
         path = write(tmp_path, "a.json", EX1_CASE1)
-        code, rep = run_json(capsys, RunConfig("region", path))
+        code, rep = run_json(capsys, ["region", path])
         assert code == 1
         assert rep["error"]["type"] == "WrongDimension"
 
@@ -299,8 +298,8 @@ class TestCommands:
             ]
         }
         path = write(tmp_path, "a.json", doc)
-        _, rep1 = run_json(capsys, RunConfig("region", path))
-        _, rep2 = run_json(capsys, RunConfig("measure", path))
+        _, rep1 = run_json(capsys, ["region", path])
+        _, rep2 = run_json(capsys, ["measure", path])
         assert rep1["results"]["area_fraction"] == pytest.approx(
             rep2["results"]["freedom"], abs=1e-9
         )
@@ -309,10 +308,10 @@ class TestCommands:
 class TestOutputDiscipline:
     def test_reports_are_byte_identical(self, tmp_path, capsys):
         path = write(tmp_path, "a.json", F3_QUARTER)
-        cfg = RunConfig("verify", path, samples=20_000, seed=1)
-        run(cfg)
+        argv = ["verify", path, "--samples", "20000", "--seed", "1"]
+        main(argv)
         first = capsys.readouterr().out
-        run(cfg)
+        main(argv)
         second = capsys.readouterr().out
         assert first == second
 
@@ -324,14 +323,14 @@ class TestOutputDiscipline:
             ]
         }
         path = write(tmp_path, "a.json", doc)
-        _, rep = run_json(capsys, RunConfig("measure", path))
+        _, rep = run_json(capsys, ["measure", path])
         for v in rep["results"].values():
             if isinstance(v, float):
                 assert float(f"{v:.12g}") == v
 
     def test_csv_measure(self, tmp_path, capsys):
         path = write(tmp_path, "a.json", EX1_CASE1)
-        code = run(RunConfig("measure", path, format="csv"))
+        code = main(["measure", path, "--format", "csv"])
         out = capsys.readouterr().out
         assert code == 0
         header, row = out.strip().splitlines()
@@ -347,16 +346,16 @@ class TestOutputDiscipline:
             ]
         }
         path = write(tmp_path, "a.json", doc)
-        run(RunConfig("subsets", path, format="csv"))
+        main(["subsets", path, "--format", "csv"])
         lines = capsys.readouterr().out.strip().splitlines()
         assert len(lines) == 1 + 3  # header + the three point-conditioned pairs
 
     def test_csv_bool_and_list_cells(self, tmp_path, capsys):
         path = write(tmp_path, "a.json", F3_QUARTER)
-        assert run(RunConfig("verify", path, samples=20_000, format="csv")) == 0
+        assert main(["verify", path, "--samples", "20000", "--format", "csv"]) == 0
         (row,) = csv.DictReader(io.StringIO(capsys.readouterr().out))
         assert row["within_4se"] == "true"
-        assert run(RunConfig("validate", path, format="csv")) == 0
+        assert main(["validate", path, "--format", "csv"]) == 0
         (row,) = csv.DictReader(io.StringIO(capsys.readouterr().out))
         assert row["options"] == '["x", "y", "z"]'
         assert row["tightened_po"] == "[0.5, 0.5, 0.5]"
@@ -367,19 +366,19 @@ class TestOutputDiscipline:
             "cols": [{"ne": 0, "po": 1}, {"ne": 0, "po": 1}, {"ne": 0, "po": 1}],
         }
         path = write(tmp_path, "t.json", doc)
-        run(RunConfig("crosstab", path, samples=1000, format="csv"))
+        main(["crosstab", path, "--samples", "1000", "--format", "csv"])
         lines = capsys.readouterr().out.strip().splitlines()
         assert len(lines) == 1 + 6
 
 
 class TestExitCodes:
     def test_missing_file_is_io_error(self, capsys):
-        assert run(RunConfig("measure", "/nonexistent/file.json")) == 2
+        assert main(["measure", "/nonexistent/file.json"]) == 2
 
     def test_parse_error_exit_2(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
         path.write_text("{oops")
-        assert run(RunConfig("measure", str(path))) == 2
+        assert main(["measure", str(path)]) == 2
 
     @pytest.mark.parametrize("digits", [400, 5_000], ids=["past-float", "past-int-limit"])
     @pytest.mark.parametrize(
@@ -455,7 +454,7 @@ class TestExitCodes:
     def test_parse_error_report(self, tmp_path, capsys, command, content, message):
         path = tmp_path / "in.json"
         path.write_bytes(content)
-        assert run(RunConfig(command, str(path))) == 2
+        assert main([command, str(path)]) == 2
         out, err = capsys.readouterr()
         report = json.loads(out)
         assert report["error"]["type"] == "ParseError"
@@ -479,7 +478,7 @@ class TestExitCodes:
         for text in (ints, ints.replace("0", "0.0").replace("1", "1.0")):
             path.write_text(text)
             for fmt in ("json", "csv"):
-                code = run(RunConfig(command, str(path), samples=1000, format=fmt))
+                code = main([command, str(path), "--samples", "1000", "--format", fmt])
                 reports.append((text, fmt, code, *capsys.readouterr()))
         assert "0.0" not in reports[0][0] and "0.0" in reports[2][0]
         assert [r[1:] for r in reports[:2]] == [r[1:] for r in reports[2:]]
@@ -488,13 +487,13 @@ class TestExitCodes:
     def test_validation_exit_1(self, tmp_path, capsys):
         doc = {"options": [{"ne": 0.9, "po": 0.95}, {"ne": 0.5, "po": 0.6}]}
         path = write(tmp_path, "bad.json", doc)
-        assert run(RunConfig("measure", str(path))) == 1
+        assert main(["measure", path]) == 1
 
     def test_work_limit_exit_1(self, tmp_path, capsys):
         a = hard_input(25)
         doc = {"options": [{"ne": n, "po": p} for n, p in zip(a.ne, a.po)]}
         path = write(tmp_path, "hard.json", doc)
-        assert run(RunConfig("measure", str(path))) == 1
+        assert main(["measure", path]) == 1
         out, err = capsys.readouterr()
         error = json.loads(out)["error"]
         assert error["type"] == "CapExceeded"
@@ -503,31 +502,23 @@ class TestExitCodes:
 
     def test_usage_exit_3_for_bad_flag(self, tmp_path):
         path = write(tmp_path, "a.json", EX1_CASE1)
-        assert run(RunConfig("measure", str(path), q=1.5)) == 3
-        assert run(RunConfig("measure", str(path), samples=0)) == 3
+        assert main(["measure", path, "--q", "1.5"]) == 3
+        assert main(["measure", path, "--samples", "0"]) == 3
 
     @pytest.mark.parametrize(
         "flags,message",
         [
-            ({"command": "frobnicate"}, "unknown command 'frobnicate'"),
-            ({"command": "sensitivity", "index": 1, "delta": -0.1},
-             "--delta must be nonnegative"),
-            ({"command": "sensitivity", "index": 1, "delta": math.nan},
-             "--delta must be finite"),
-            ({"command": "sensitivity", "index": 1, "delta": math.inf},
-             "--delta must be finite"),
-            ({"command": "sensitivity", "index": 1, "eps": 1.0},
-             "--eps must lie in (0, 1)"),
-            ({"command": "sensitivity", "index": 0},
-             "--index is 1-based and must be >= 1"),
-            ({"command": "measure", "format": "xml"}, "--format must be json or csv"),
+            (["--index", "1", "--delta", "-0.1"], "--delta must be nonnegative"),
+            (["--index", "1", "--delta", "nan"], "--delta must be finite"),
+            (["--index", "1", "--delta", "inf"], "--delta must be finite"),
+            (["--index", "1", "--eps", "1.0"], "--eps must lie in (0, 1)"),
+            (["--index", "0"], "--index is 1-based and must be >= 1"),
         ],
-        ids=["unknown-command", "negative-delta", "nan-delta", "inf-delta",
-             "eps-out-of-range", "index-zero", "bad-format"],
+        ids=["negative-delta", "nan-delta", "inf-delta", "eps-out-of-range", "index-zero"],
     )
     def test_run_usage_error_exit_3(self, tmp_path, capsys, flags, message):
         path = write(tmp_path, "a.json", EX1_CASE1)
-        assert run(RunConfig(input_path=path, **flags)) == 3
+        assert main(["sensitivity", path, *flags]) == 3
         out, err = capsys.readouterr()
         assert out == ""
         assert err == f"usage error: {message}\n"
@@ -540,38 +531,14 @@ class TestExitCodes:
         assert rep["results"]["freedom"] == pytest.approx(0.25, abs=1e-12)
 
     def test_main_reduces_seed_modulo_2_64(self, tmp_path, capsys):
-        path = write(tmp_path, "a.json", F3_QUARTER)
-        reports = []
-        for seed in ("-1", str(2**64 - 1)):
-            assert main(["verify", path, "--samples", "10000", "--seed", seed]) == 0
-            reports.append(json.loads(capsys.readouterr().out))
-        assert reports[0]["seed"] == reports[1]["seed"] == 18446744073709551615
-        assert reports[0]["results"] == reports[1]["results"]
-
-    def test_run_reports_the_seed_it_sampled_with(self, tmp_path, capsys):
-        # run reduces the seed mod 2^64 as the stream does, so a RunConfig
-        # reports what the command line reports for the same seed, a numpy
-        # integer seed included
         for command, doc in (("verify", F3_QUARTER), ("crosstab", VACUOUS_2X2)):
             path = write(tmp_path, f"{command}.json", doc)
-            code = main([command, path, "--samples", "1000", "--seed", "-1"])
-            expected = json.loads(capsys.readouterr().out)
-            assert expected["seed"] == 2**64 - 1
-            for seed in (-1, np.int64(-1)):
-                cfg = RunConfig(command, path, samples=1000, seed=seed)
-                assert run_json(capsys, cfg) == (code, expected)
-
-    def test_non_integer_seed_is_a_domain_error(self, tmp_path, capsys):
-        # on every sampled path, the joint sample skipped past the cell cap too
-        docs = (("verify", F3_QUARTER), ("crosstab", VACUOUS_2X2),
-                ("crosstab", {"rows": [{"ne": 0, "po": 1}] * 4,
-                              "cols": [{"ne": 0, "po": 1}] * 4}))
-        for command, doc in docs:
-            path = write(tmp_path, f"{command}.json", doc)
-            code, rep = run_json(capsys, RunConfig(command, path, samples=1000, seed=1.5))
-            assert code == 1
-            assert rep["error"] == {"type": "DomainError",
-                                    "message": "seed must be an integer, got 1.5"}
+            reports = []
+            for seed in ("-1", str(2**64 - 1)):
+                assert main([command, path, "--samples", "10000", "--seed", seed]) == 0
+                reports.append(json.loads(capsys.readouterr().out))
+            assert reports[0]["seed"] == reports[1]["seed"] == 18446744073709551615
+            assert reports[0]["results"] == reports[1]["results"]
 
     def test_main_unknown_command_exit_3(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -585,8 +552,11 @@ class TestExitCodes:
             ["measure"],
             ["verify", "{path}", "--samples", "many"],
             ["measure", "{path}", "--force-cap"],
+            ["verify", "{path}", "--seed", "1.5"],
+            ["sensitivity", "{path}", "--index", "1.5"],
         ],
-        ids=["format-xml", "missing-input", "non-integer-samples", "no-force-cap"],
+        ids=["format-xml", "missing-input", "non-integer-samples", "no-force-cap",
+             "non-integer-seed", "non-integer-index"],
     )
     def test_main_usage_error_exit_3(self, tmp_path, capsys, argv):
         path = write(tmp_path, "a.json", EX1_CASE1)

@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import math
+import re
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from simplexfreedom import (
@@ -50,6 +52,28 @@ class TestDominanceCondition:
             dominance_condition(a, 2)
         with pytest.raises(IndexOutOfRange):
             dominance_condition(a, -1)
+
+
+class TestIndexType:
+    @pytest.mark.parametrize("k", [0.5, 1.0, "1"])
+    def test_non_integral_index(self, k):
+        a = validate([0, 0], [1, 1])
+        message = re.escape(f"index must be an integer, got {k!r}")
+        for compare in (
+            lambda: dominance_condition(a, k),
+            lambda: impact_compare(a, k, 0.1),
+            lambda: imposition_compare(a, k, 0.1),
+        ):
+            with pytest.raises(DomainError, match=message):
+                compare()
+
+    def test_numpy_integers_pass_as_ints(self):
+        a = validate([0.1, 0.1, 0.0], [0.3, 0.3, 1.0])
+        assert dominance_condition(a, np.int64(2)) is dominance_condition(a, 2) is True
+        for compare in (impact_compare, imposition_compare):
+            rep = compare(a, np.int64(2), 0.1)
+            assert rep == compare(a, 2, 0.1)
+            assert type(rep.index) is int
 
 
 class TestImpactCompare:
