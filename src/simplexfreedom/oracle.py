@@ -26,22 +26,23 @@ one spacing per test for a box, one table row or column per test for a
 joint table.  They share one layout: rows come in blocks of 2^20 (the last
 holds the rest), coordinate i of row r in a block is word i*rows + r of that
 block, and each row is sorted ascending (any correct sort gives the same
-bits).  That layout is the contract.  A block is evaluated one sub-block of
-``_SUB`` rows at a time (2^15 on one thread, 2^16 on two), each coordinate
-read from the stream seeked to the start of its counter run, which is only
-an order of evaluation: it changes no bit of any estimate.  So are the
-threads: the calling thread and, when the machine has a second CPU and the
-estimate more than one sub-block, one helper thread run by a
-ThreadPoolExecutor each take the next unevaluated sub-block until none is
-left, and the accepted count is their integer sum.  splitmix64 is
+bits).  That layout is the contract.  A block is evaluated one sub-block at a
+time (2^15 rows on one thread; on two, 2^16 rows while k <= 5 and 2^15
+above), each coordinate read from the stream seeked to the start of its
+counter run, which is only an order of evaluation: it changes no bit of any
+estimate.  So are the threads: the calling thread and, when the machine has
+a second CPU and the estimate more than one sub-block, one helper thread
+run by a ThreadPoolExecutor each take the next unevaluated sub-block until
+none is left, and the accepted count is their integer sum.  splitmix64 is
 counter-based, so any split of the counter space draws the same words
 (Steele, Lea & Flood, OOPSLA 2014; Salmon et al., SC 2011).  Each thread
-has its own sub-block workspace, allocated once per estimate: k coordinate
-rows, one spare row and two boolean masks.  One kernel, ``_fill``, runs the
-update equations on a whole row in place, and fills each coordinate row
-with the spare row as its scratch; a sorting network for k wires then sorts
-the rows in place through the spare row, and the spare row then holds each
-test's sum in turn.  No row allocates a temporary.
+has its own sub-block workspace, cut once per estimate from one buffer so
+that its rows and masks start on 4 KiB pages: k coordinate rows, one spare
+row and two boolean masks.  One kernel, ``_fill``, runs the update equations on a whole row in
+place, and fills each coordinate row with the spare row as its scratch; a
+sorting network for k wires then sorts the rows in place through the spare
+row, and the spare row then holds each test's sum in turn.  No row
+allocates a temporary.
 
 The contract above is stated in doubles, and a float implementation of it
 gets the same bits as this one, which evaluates it in the 53-bit integers
@@ -105,15 +106,27 @@ _WORKERS = min(
     if hasattr(os, "sched_getaffinity")
     else os.cpu_count() or 1,
 )
-# Rows per sub-block: each block is drawn, sorted and tested 2^15 rows at a
-# time on one thread and 2^16 on two.  Only the order of evaluation depends
-# on it; estimates do not.  On one thread 2^15 keeps the working set
-# ((k + 1) * 256 KiB of 64-bit words) in cache, and 2^16 measured 10-35%
-# slower (M = 8: 49-52 -> 54-69 ms per 10^6 samples).  On two threads each
-# numpy call must be long enough to pay for handing over the interpreter
-# lock: 2^14 measured slower than one thread, and 2^16 faster than 2^15
-# (M = 8: 32-34 -> 30-32 ms).
+# Rows per sub-block at most: each block is drawn, sorted and tested 2^15
+# rows at a time on one thread and up to 2^16 on two.  Only the order of
+# evaluation depends on it; estimates do not.  On one thread 2^15 keeps the
+# working set ((k + 1) * 256 KiB of 64-bit words) in cache, and 2^16
+# measured 10-35% slower (M = 8: 49-52 -> 54-69 ms per 10^6 samples).  On
+# two threads each numpy call must be long enough to pay for handing over
+# the interpreter lock: 2^14 measured slower than one thread, and 2^16
+# faster than 2^15 while k is small (k = 3: 7.5 vs 8.9 ms, k = 4: 9.5 vs
+# 10.0 ms per 10^6 samples).
 _SUB = _WORKERS << 15
+# Bytes a thread's k + 1 uint64 rows may fill at _SUB rows: a sub-block
+# takes _SUB rows while they fit, k <= 5 on two threads, and 2^15 rows, the
+# one-thread size, above that.  Above it 2^16 rows won no time (k = 6, 7
+# and the 2x4, 3x3 and 3x4 tables: 0-3% slower per 10^6 samples) and
+# doubled the workspace.  Each core of the 2-vCPU machine measured has
+# 4 MiB of L2 cache.
+_CACHE = 3 << 20
+# Each estimate's workspace starts on a page: where the heap put it moved a
+# whole estimate (16 vs 0 mod 64 bytes at 10^6 samples: M = 6 14.0 vs
+# 12.6 ms, M = 9 23.2 vs 22.1 ms).
+_PAGE = 1 << 12
 # An estimate from fewer accepted rows than this is noisy: the estimators
 # warn, verify prints the warning and crosstab reports it as low_acceptance.
 MIN_ACCEPTED = 100
@@ -270,32 +283,32 @@ def _estimate(
     ``_WORKERS - 1`` helper threads each take the next unclaimed sub-block
     from one list, so a descheduled core holds up at most one sub-block,
     and the accepted count is the integer sum of theirs.  Each thread has
-    its own workspace, allocated here: k + 1 uint64 rows and two boolean
-    rows of at most ``_SUB`` words.  The helpers run on one ThreadPoolExecutor
-    per estimate, which starts no thread before its first submit, so one
-    sub-block starts none; leaving it joins every helper before this
-    returns or raises, and ``result()`` raises a helper's exception here."""
+    its own workspace, cut here by ``_workspace``: k + 1 uint64 rows and two
+    boolean rows of ``_SUB`` words while k + 1 such rows fit in ``_CACHE``
+    bytes, and of 2^15 words above that.  The helpers run on one
+    ThreadPoolExecutor per estimate, which starts no thread before its
+    first submit, so one sub-block starts none; leaving it joins every
+    helper before this returns or raises, and ``result()`` raises a
+    helper's exception here."""
     seed = _seed(seed)
     from concurrent.futures import ThreadPoolExecutor
 
     import numpy as np
 
     plans = [(*_ends(cells), _cuts(ne, po, scale)) for cells, ne, po in tests]
+    sub = _SUB if (k + 1) * _SUB * 8 <= _CACHE else 1 << 15
     # every sub-block of every block, as (block start, rows, start, length)
     subs = [
-        (done, rows, start, min(_SUB, rows - start))
+        (done, rows, start, min(sub, rows - start))
         for done in range(0, samples, _CHUNK)
         for rows in [min(_CHUNK, samples - done)]
-        for start in range(0, rows, _SUB)
+        for start in range(0, rows, sub)
     ]
     threads = min(_WORKERS, len(subs))
-    width = min(_SUB, samples)
-    # per thread: k coordinate rows and one spare row that the comparators
-    # rotate through and the tests then sum into, and two masks, all made in
-    # this thread: each thread making its own measured slower (per estimate,
-    # joint 17.7 -> 18.9 ms and verify 9.7 -> 10.3 ms at 10^6 samples)
-    work = np.empty((threads, k + 1, width), dtype=np.uint64)
-    masks = np.empty((threads, 2, width), dtype=bool)
+    # made in this thread: each thread making its own measured slower (per
+    # estimate, joint 17.7 -> 18.9 ms and verify 9.7 -> 10.3 ms at 10^6
+    # samples)
+    work, masks = _workspace(threads, k, min(sub, samples))
     # one list iterator for every thread: each next() is one atomic step
     claim = functools.partial(_accepted, k, seed, plans, iter(subs))
     with ThreadPoolExecutor(threads) as pool:
@@ -318,6 +331,23 @@ def _estimate(
         seed=seed,
         accepted=accepted,
     )
+
+
+def _workspace(threads: int, k: int, width: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per thread, k coordinate rows and one spare row of ``width`` uint64
+    words, which the comparators rotate through and the tests then sum
+    into, and two boolean masks as long: one buffer cut so that the rows and
+    the masks each start on a ``_PAGE`` boundary, wherever the heap puts
+    it."""
+    import numpy as np
+
+    rows = threads * (k + 1) * width * 8
+    at = -(-rows // _PAGE) * _PAGE  # the masks' start, on the next page
+    buf = np.empty(_PAGE + at + threads * 2 * width, dtype=np.uint8)
+    buf = buf[-buf.ctypes.data % _PAGE :]
+    work = buf[:rows].view(np.uint64).reshape(threads, k + 1, width)
+    masks = buf[at : at + threads * 2 * width].view(bool).reshape(threads, 2, width)
+    return work, masks
 
 
 def _accepted(k, seed, plans, claims, work, ok, hit) -> int:

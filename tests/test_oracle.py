@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 import threading
@@ -55,8 +56,8 @@ class TestSplitMix64:
         assert got == reference_splitmix64(42, 8)
 
     def test_block_matches_scalar_bitwise(self):
-        # sizes either side of the 2^15 and 2^16 sub-block sizes and of the
-        # chunk uniforms fills at a time
+        # sizes either side of the 2^15 and 2^16 rows a sub-block holds and
+        # of the _SUB words uniforms fills at a time
         sizes = (100, 1, (1 << 15) - 1, 1 << 15, (1 << 15) + 1, (1 << 16) + 3,
                  oracle._SUB - 1, oracle._SUB + 1)
         for seed in (123, 0, 42, MASK64):
@@ -453,8 +454,9 @@ PINNED = [
 # Recorded before blocks were evaluated in 2^15-row sub-blocks: one row, a
 # block shorter than one sub-block, a partial last sub-block, exactly one
 # block, and a second block that ends in a partial sub-block.  The rows at
-# 65,535 and 65,537 samples, which straddle the 2^16-row sub-block of two
-# threads, were recorded while every sub-block held 2^15 rows.
+# 65,535 and 65,537 samples, which straddle the 2^16-row sub-block that two
+# threads use while k <= 5, were recorded while every sub-block held 2^15
+# rows.
 SEAMS = [
     ("plain", 2, 1, "0x1.0000000000000p+0", "0x0.0p+0"),
     ("plain", 2, 32_767, "0x1.088e111c22384p-1", "0x1.69d78c42f6b82p-9"),
@@ -576,6 +578,27 @@ def test_estimates_carry_their_accepted_count(kind, size, samples, accepted):
 def test_estimates_do_not_depend_on_the_thread_count(
     monkeypatch, kind, size, samples, mean, std_error
 ):
+    _assert_any_thread_count(monkeypatch, kind, size, samples, mean, std_error)
+
+
+@pytest.mark.parametrize("rows", [1 << 15, 1 << 16])
+@pytest.mark.parametrize(
+    "kind, size, samples, mean, std_error",
+    PINNED + SEAMS + SWITCH,
+    ids=[f"{c[0]}-{c[1]}-{c[2]}" for c in PINNED + SEAMS + SWITCH],
+)
+def test_estimates_do_not_depend_on_the_sub_block_rows(
+    monkeypatch, rows, kind, size, samples, mean, std_error
+):
+    # every k takes ``rows`` rows, on either side of the cache boundary and
+    # whatever the CPU count; the counter offsets are rebuilt for 2^16 rows
+    monkeypatch.setattr(oracle, "_SUB", 1 << 16)
+    monkeypatch.setattr(oracle, "_constants", functools.cache(oracle._constants.__wrapped__))
+    monkeypatch.setattr(oracle, "_CACHE", 0 if rows == 1 << 15 else math.inf)
+    _assert_any_thread_count(monkeypatch, kind, size, samples, mean, std_error)
+
+
+def _assert_any_thread_count(monkeypatch, kind, size, samples, mean, std_error):
     # three threads share out the sub-blocks on fewer cores, with the
     # interpreter switching threads often: a sub-block claimed twice or
     # never would change the accepted count
@@ -627,18 +650,57 @@ def test_an_error_in_either_thread_reaches_the_caller(monkeypatch, fails_on_help
 
 
 @pytest.mark.parametrize(
-    "samples, started", [(1, 0), (oracle._SUB, 0), (oracle._SUB + 1, 1)]
+    "m, samples, started",
+    [
+        pytest.param(3, 1, 0, id="1-0"),
+        pytest.param(3, oracle._SUB, 0, id=f"{oracle._SUB}-0"),
+        pytest.param(3, oracle._SUB + 1, 1, id=f"{oracle._SUB + 1}-1"),
+        # past the cache boundary a sub-block holds 2^15 rows
+        pytest.param(7, 1 << 15, 0, id="M7-32768-0"),
+        pytest.param(7, (1 << 15) + 1, 1, id="M7-32769-1"),
+        pytest.param(12, (1 << 15) + 1, 1, id="M12-32769-1"),
+    ],
 )
-def test_one_sub_block_starts_no_thread(monkeypatch, samples, started):
+def test_one_sub_block_starts_no_thread(monkeypatch, m, samples, started):
     monkeypatch.setattr(oracle, "_WORKERS", 2)
     starts = []
     start = threading.Thread.start
     monkeypatch.setattr(threading.Thread, "start", lambda t: starts.append(t) or start(t))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", LowAcceptanceWarning)
-        mc_freedom(_pinned_assignment(3), samples, 3)
+        mc_freedom(_pinned_assignment(m), samples, m)
     assert len(starts) == started
     assert not any(t.is_alive() for t in starts)
+
+
+@pytest.mark.parametrize(
+    "kind, size",
+    [("plain", 2), ("plain", 6), ("plain", 7), ("joint", (3, 4))],
+    ids=["k1", "k5", "k6", "k11"],
+)
+def test_workspaces_start_on_a_page(monkeypatch, kind, size):
+    # k = 1, 5, 6 and 11: each thread's rows and masks start on a 4 KiB page
+    # when a sub-block holds 2^15 or 2^16 rows, and the first thread's also
+    # when the estimate is shorter than one
+    monkeypatch.setattr(oracle, "_WORKERS", 2)
+    seen = []
+    accepted = oracle._accepted
+
+    def spy(k, seed, plans, claims, work, ok, hit):
+        seen.append((work, ok, hit))
+        return accepted(k, seed, plans, claims, work, ok, hit)
+
+    monkeypatch.setattr(oracle, "_accepted", spy)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", LowAcceptanceWarning)
+        _pinned_estimate(kind, size, 1_000_000)
+        assert len(seen) == 2
+        assert all(a.ctypes.data % 4096 == 0 for arrays in seen for a in arrays)
+        seen.clear()
+        _pinned_estimate(kind, size, 1_000)
+    [(work, ok, hit)] = seen
+    assert work.ctypes.data % 4096 == 0 and ok.ctypes.data % 4096 == 0
+    assert work.shape[1] == ok.shape[0] == hit.shape[0] == 1_000
 
 
 def test_sampler_memory_is_bounded_by_sub_blocks():
@@ -655,20 +717,23 @@ def test_sampler_memory_is_bounded_by_sub_blocks():
 
 
 def test_sampler_memory_is_its_workspaces():
-    # each thread's k + 1 uint64 rows and two boolean masks of _SUB words,
-    # and room for the Python objects of one estimate: filling a row takes
-    # no temporary array
-    a = _pinned_assignment(8)
-    threads, k = oracle._WORKERS, a.m - 1
-    workspaces = threads * (k + 1) * oracle._SUB * 8 + threads * 2 * oracle._SUB
-    mc_freedom(a, 1_000_000, 8)  # the cached constants are not the estimate's
-    tracemalloc.start()
-    try:
-        mc_freedom(a, 1_000_000, 8)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= workspaces + 64 * 2**10
+    # each thread's k + 1 uint64 rows and two boolean masks of as many words
+    # as a sub-block holds, and room for the Python objects of one estimate
+    # and the page alignment: filling a row takes no temporary array.  At
+    # M = 8 a sub-block holds 2^15 rows, half of _SUB on two threads; at
+    # M = 6 the k + 1 rows of _SUB words still fit in the cache budget.
+    for m, rows in ((8, 1 << 15), (6, oracle._SUB)):
+        a = _pinned_assignment(m)
+        threads, k = oracle._WORKERS, a.m - 1
+        workspaces = threads * (k + 1) * rows * 8 + threads * 2 * rows
+        mc_freedom(a, 1_000_000, m)  # the cached constants are not the estimate's
+        tracemalloc.start()
+        try:
+            mc_freedom(a, 1_000_000, m)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert workspaces <= peak <= workspaces + 64 * 2**10, m
 
 
 class TestRegionPolygon:
