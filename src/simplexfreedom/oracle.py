@@ -22,27 +22,24 @@ uniform on the simplex and needs no transcendental functions.  All three
 rejection estimators (``mc_freedom``, ``mc_freedom_conditional`` and
 ``crosstab.mc_joint_freedom``, with cells flattened row-major) keep a row
 when each of their tests ne <= scale * (sum of some spacings) <= po holds:
-one spacing per test for a box, one table row or column per test for a
-joint table.  They share one layout: rows come in blocks of 2^20 (the last
-holds the rest), coordinate i of row r in a block is word i*rows + r of that
+one spacing per test for a box, one table row or column per test for a joint
+table.  They share one layout: rows come in blocks of 2^20 (the last holds
+the rest), coordinate i of row r in a block is word i*rows + r of that
 block, and each row is sorted ascending (any correct sort gives the same
-bits).  That layout is the contract.  A block is evaluated one sub-block at a
-time (2^15 rows on one thread; on two, 2^16 rows while k <= 5 and 2^15
-above), each coordinate read from the stream seeked to the start of its
-counter run, which is only an order of evaluation: it changes no bit of any
-estimate.  So are the threads: the calling thread and, when the machine has
-a second CPU and the estimate more than one sub-block, one helper thread
-run by a ThreadPoolExecutor each take the next unevaluated sub-block until
-none is left, and the accepted count is their integer sum.  splitmix64 is
-counter-based, so any split of the counter space draws the same words
-(Steele, Lea & Flood, OOPSLA 2014; Salmon et al., SC 2011).  Each thread
-has its own sub-block workspace, cut once per estimate from one buffer so
-that its rows and masks start on 4 KiB pages: k coordinate rows, one spare
-row and two boolean masks.  One kernel, ``_fill``, runs the update equations on a whole row in
-place, and fills each coordinate row with the spare row as its scratch; a
-sorting network for k wires then sorts the rows in place through the spare
-row, and the spare row then holds each test's sum in turn.  No row
-allocates a temporary.
+bits).  That layout is the contract.  A block is evaluated one 2^15-row
+sub-block at a time, each coordinate read from the stream seeked to the
+start of its counter run, which is only an order of evaluation: it changes
+no bit of any estimate.  So is the process: with a second CPU, one helper
+process, forked once, counts the odd sub-blocks of an estimate while the
+caller counts the even ones.  splitmix64 is counter-based, so any split of
+the counter space draws the same words (Steele, Lea & Flood, OOPSLA 2014;
+Salmon et al., SC 2011).  Each process has one sub-block workspace, cut from
+one buffer so that its rows and masks start on 4 KiB pages: k coordinate
+rows, one spare row and two boolean masks.  One kernel, ``_fill``, runs the
+update equations on a whole row in place, and fills each coordinate row with
+the spare row as its scratch; a sorting network for k wires then sorts the
+rows in place through the spare row, and the spare row then holds each
+test's sum in turn.  No row allocates a temporary.
 
 The contract above is stated in doubles, and a float implementation of it
 gets the same bits as this one, which evaluates it in the 53-bit integers
@@ -58,21 +55,21 @@ once per estimate from the float test as written.  A run of consecutive
 spacings a..z sums to one difference x[z+1] - x[a] of the sorted integers
 x = (0, u_0, ..., u_{k-1}, 2^53), so no spacing is formed on its own.
 
-numpy is imported only inside the functions that build or touch arrays, and
-``concurrent.futures`` only inside the sampler, so importing the package
-loads neither.  numpy loads on the first sampling call:
-``SplitMix64.uniforms``, the ``mc_*`` estimators, and so the ``verify`` and
-``crosstab`` commands; ``concurrent.futures`` on the first estimate.  The
-scalar stream, ``region_polygon`` and the other five commands load neither.
+numpy is imported only inside the functions that build or touch arrays, so
+it loads on the first sampling call (``verify`` and ``crosstab``), and the
+helper is forked after it, so that it inherits numpy.
 """
 
 from __future__ import annotations
 
+import atexit
 import bisect
+import contextlib
 import functools
 import math
 import operator
 import os
+import threading
 import warnings
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
@@ -96,33 +93,16 @@ _CHUNK = 1 << 20
 # The kernel works on the 53-bit integers x = output >> 11 behind the
 # uniforms x * 2^-53; 1.0 is this integer.
 _ONE = 1 << 53
-# Threads that evaluate one estimate's sub-blocks, the caller included: two
-# is the count measured to pay on a 2-core machine, and never more than the
-# CPUs this process may run on.  Each estimate also caps it at its own
-# sub-block count, so one sub-block starts no thread.
-_WORKERS = min(
-    2,
-    len(os.sched_getaffinity(0))
-    if hasattr(os, "sched_getaffinity")
-    else os.cpu_count() or 1,
-)
-# Rows per sub-block at most: each block is drawn, sorted and tested 2^15
-# rows at a time on one thread and up to 2^16 on two.  Only the order of
-# evaluation depends on it; estimates do not.  On one thread 2^15 keeps the
-# working set ((k + 1) * 256 KiB of 64-bit words) in cache, and 2^16
-# measured 10-35% slower (M = 8: 49-52 -> 54-69 ms per 10^6 samples).  On
-# two threads each numpy call must be long enough to pay for handing over
-# the interpreter lock: 2^14 measured slower than one thread, and 2^16
-# faster than 2^15 while k is small (k = 3: 7.5 vs 8.9 ms, k = 4: 9.5 vs
-# 10.0 ms per 10^6 samples).
-_SUB = _WORKERS << 15
-# Bytes a thread's k + 1 uint64 rows may fill at _SUB rows: a sub-block
-# takes _SUB rows while they fit, k <= 5 on two threads, and 2^15 rows, the
-# one-thread size, above that.  Above it 2^16 rows won no time (k = 6, 7
-# and the 2x4, 3x3 and 3x4 tables: 0-3% slower per 10^6 samples) and
-# doubled the workspace.  Each core of the 2-vCPU machine measured has
-# 4 MiB of L2 cache.
-_CACHE = 3 << 20
+# Processes that count one estimate's sub-blocks: the caller, and a helper
+# process on Linux where this process may run on a second CPU (macOS makes
+# fork unsafe).  Two threads, which share the interpreter lock, measured
+# slower than two processes (M = 8: 16.8 vs 12.9 ms per 10^6 samples).
+_WORKERS = min(2, len(os.sched_getaffinity(0))) if hasattr(os, "sched_getaffinity") else 1
+# Rows per sub-block at most, in every process: 2^15 keeps the working set
+# ((k + 1) * 256 KiB of 64-bit words) in cache, and 2^16 measured 10-35%
+# slower (M = 8: 49-52 -> 54-69 ms per 10^6 samples).  Only the order of
+# evaluation depends on it; estimates do not.
+_SUB = 1 << 15
 # Each estimate's workspace starts on a page: where the heap put it moved a
 # whole estimate (16 vs 0 mod 64 bytes at 10^6 samples: M = 6 14.0 vs
 # 12.6 ms, M = 9 23.2 vs 22.1 ms).
@@ -279,115 +259,167 @@ def _estimate(
     Each test becomes integer cuts (``_cuts``) and the sorted integers its
     sum adds and subtracts (``_ends``), summed into the spare row; uint64
     arithmetic wraps modulo 2^64, and every sum ends in [0, 2^53], so the
-    order of the terms is free.  The calling thread and up to
-    ``_WORKERS - 1`` helper threads each take the next unclaimed sub-block
-    from one list, so a descheduled core holds up at most one sub-block,
-    and the accepted count is the integer sum of theirs.  Each thread has
-    its own workspace, cut here by ``_workspace``: k + 1 uint64 rows and two
-    boolean rows of ``_SUB`` words while k + 1 such rows fit in ``_CACHE``
-    bytes, and of 2^15 words above that.  The helpers run on one
-    ThreadPoolExecutor per estimate, which starts no thread before its
-    first submit, so one sub-block starts none; leaving it joins every
-    helper before this returns or raises, and ``result()`` raises a
-    helper's exception here."""
+    order of the terms is free.  The helper counts the odd sub-blocks
+    (``_shared``) unless there is one worker or one sub-block, or another
+    thread's estimate holds it; then this thread counts them all."""
     seed = _seed(seed)
-    from concurrent.futures import ThreadPoolExecutor
-
-    import numpy as np
-
     plans = [(*_ends(cells), _cuts(ne, po, scale)) for cells, ne, po in tests]
-    sub = _SUB if (k + 1) * _SUB * 8 <= _CACHE else 1 << 15
     # every sub-block of every block, as (block start, rows, start, length)
     subs = [
-        (done, rows, start, min(sub, rows - start))
+        (done, rows, start, min(_SUB, rows - start))
         for done in range(0, samples, _CHUNK)
         for rows in [min(_CHUNK, samples - done)]
-        for start in range(0, rows, sub)
+        for start in range(0, rows, _SUB)
     ]
-    threads = min(_WORKERS, len(subs))
-    # made in this thread: each thread making its own measured slower (per
-    # estimate, joint 17.7 -> 18.9 ms and verify 9.7 -> 10.3 ms at 10^6
-    # samples)
-    work, masks = _workspace(threads, k, min(sub, samples))
-    # one list iterator for every thread: each next() is one atomic step
-    claim = functools.partial(_accepted, k, seed, plans, iter(subs))
-    with ThreadPoolExecutor(threads) as pool:
-        helpers = [pool.submit(claim, work[t], *masks[t]) for t in range(1, threads)]
-        accepted = claim(work[0], *masks[0])
-        accepted += sum(f.result() for f in helpers)
+    job = (k, seed, plans, subs, min(_SUB, samples))
+    if _WORKERS > 1 and len(subs) > 1 and _helper_lock.acquire(blocking=False):
+        try:
+            accepted = _shared(*job)
+        finally:
+            _helper_lock.release()
+    else:
+        accepted = _accepted(*job)
     if accepted < MIN_ACCEPTED:
-        warnings.warn(
-            f"only {accepted} of {samples} samples accepted; the estimate is noisy",
-            LowAcceptanceWarning,
-            stacklevel=3,
-        )
+        noisy = f"only {accepted} of {samples} samples accepted; the estimate is noisy"
+        warnings.warn(noisy, LowAcceptanceWarning, stacklevel=3)
     factor = math.prod([scale] * k, start=1.0)
     frac = accepted / samples
     se = factor * math.sqrt(frac * (1.0 - frac) / samples)
-    return MCEstimate(
-        mean=frac * factor,
-        std_error=se,
-        samples=samples,
-        seed=seed,
-        accepted=accepted,
-    )
+    return MCEstimate(frac * factor, se, samples, seed, accepted)
 
 
-def _workspace(threads: int, k: int, width: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per thread, k coordinate rows and one spare row of ``width`` uint64
-    words, which the comparators rotate through and the tests then sum
-    into, and two boolean masks as long: one buffer cut so that the rows and
-    the masks each start on a ``_PAGE`` boundary, wherever the heap puts
-    it."""
+def _workspace(k: int, width: int) -> tuple[np.ndarray, np.ndarray]:
+    """k coordinate rows and a spare row of ``width`` uint64 words, which the
+    comparators rotate through and the tests sum into, and two boolean masks
+    as long, cut from one buffer so that rows and masks start on a page."""
     import numpy as np
 
-    rows = threads * (k + 1) * width * 8
+    rows = (k + 1) * width * 8
     at = -(-rows // _PAGE) * _PAGE  # the masks' start, on the next page
-    buf = np.empty(_PAGE + at + threads * 2 * width, dtype=np.uint8)
+    buf = np.empty(_PAGE + at + 2 * width, dtype=np.uint8)
     buf = buf[-buf.ctypes.data % _PAGE :]
-    work = buf[:rows].view(np.uint64).reshape(threads, k + 1, width)
-    masks = buf[at : at + threads * 2 * width].view(bool).reshape(threads, 2, width)
+    work = buf[:rows].view(np.uint64).reshape(k + 1, width)
+    masks = buf[at : at + 2 * width].view(bool).reshape(2, width)
     return work, masks
 
 
-def _accepted(k, seed, plans, claims, work, ok, hit) -> int:
-    """Rows accepted in the sub-blocks this thread claims from ``claims``,
-    evaluated in its own workspace ``work``, ``ok`` and ``hit``.  On an
-    exception it claims every sub-block left, so the other threads stop
-    after the one they hold."""
+def _accepted(k, seed, plans, subs, width) -> int:
+    """Rows accepted in the sub-blocks ``subs``, each at most ``width`` rows
+    long, evaluated one at a time in one workspace from ``_workspace``."""
     import numpy as np
 
     top = np.uint64(_ONE)
+    work, (ok, hit) = _workspace(k, width)
     accepted = 0
-    try:
-        for done, rows, start, b in claims:
-            *u, spare = work[:, :b]
-            # coordinate i of the block is the counter run starting at word
-            # done*k + i*rows; this sub-block reads it from word start on,
-            # through the spare row, which is idle until the network starts
-            for i, row in enumerate(u):
-                _fill(row, seed + (done * k + i * rows + start) * _GOLDEN, spare)
-            for i, j in _network(k):
-                np.minimum(u[i], u[j], out=spare)
-                np.maximum(u[i], u[j], out=u[j])
-                u[i], spare = spare, u[i]
-            # x[0] = 0 is never a term
-            x = [None, *u, top]
-            okb, hitb = ok[:b], hit[:b]
-            okb.fill(True)
-            for plus, minus, cut in plans:
-                s = x[plus[0]]
-                for i in plus[1:]:
-                    s = np.add(s, x[i], out=spare)
-                for i in minus:
-                    s = np.subtract(s, x[i], out=spare)
-                _within(s, cut, okb, hitb, spare)
-            accepted += int(np.count_nonzero(okb))
-    except BaseException:
-        for _ in claims:
-            pass
-        raise
+    for done, rows, start, b in subs:
+        *u, spare = work[:, :b]
+        # coordinate i of the block is the counter run starting at word
+        # done*k + i*rows; this sub-block reads it from word start on,
+        # through the spare row, which is idle until the network starts
+        for i, row in enumerate(u):
+            _fill(row, seed + (done * k + i * rows + start) * _GOLDEN, spare)
+        for i, j in _network(k):
+            np.minimum(u[i], u[j], out=spare)
+            np.maximum(u[i], u[j], out=u[j])
+            u[i], spare = spare, u[i]
+        # x[0] = 0 is never a term
+        x = [None, *u, top]
+        okb, hitb = ok[:b], hit[:b]
+        okb.fill(True)
+        for plus, minus, cut in plans:
+            s = x[plus[0]]
+            for i in plus[1:]:
+                s = np.add(s, x[i], out=spare)
+            for i in minus:
+                s = np.subtract(s, x[i], out=spare)
+            _within(s, cut, okb, hitb, spare)
+        accepted += int(np.count_nonzero(okb))
     return accepted
+
+
+# The helper once forked, as (pid, its job pipe's write end, its count
+# pipe's read end), and the lock that lends it to one estimate at a time.
+_helper = None
+_helper_lock = threading.Lock()
+
+
+def _shared(k, seed, plans, subs, width) -> int:
+    """Rows accepted in ``subs``: the helper counts the odd sub-blocks while
+    this thread counts the even ones.  Either side's exception is raised
+    here.  One on this side, or a dead helper, closes the helper, so that
+    no later estimate can read this one's count."""
+    import pickle
+
+    global _helper
+    if _helper is None:
+        _constants()  # numpy and the counter offsets, inherited by the fork
+        (jobs_r, jobs), (counts, counts_w) = os.pipe(), os.pipe()
+        pid = os.fork()
+        if pid == 0:
+            try:
+                os.close(jobs)
+                os.close(counts)
+                _serve(jobs_r, counts_w)
+            finally:
+                os._exit(0)  # never back into the caller's stack
+        os.close(jobs_r)
+        os.close(counts_w)
+        _helper = pid, jobs, open(counts, "rb")
+    pid, jobs, counts = _helper
+    try:
+        _write(jobs, pickle.dumps((k, seed, plans, subs[1::2], width)))
+        accepted = _accepted(k, seed, plans, subs[::2], width)
+        theirs = pickle.load(counts)
+    except BaseException as exc:
+        _close_helper()
+        if isinstance(exc, (BrokenPipeError, EOFError)):
+            raise ChildProcessError(f"sampler helper {pid} has exited") from exc
+        raise
+    if isinstance(theirs, Exception):
+        raise theirs
+    return accepted + theirs
+
+
+def _serve(jobs: int, counts: int) -> None:
+    """The helper's loop: the ``_accepted`` count of each job, or the
+    exception that stopped it, goes back to the caller, until either pipe
+    ends.  SIGINT is the caller's to handle."""
+    import pickle
+    import signal
+
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    reader = open(jobs, "rb")
+    while True:
+        job = pickle.load(reader)
+        try:
+            reply = _accepted(*job)
+        except Exception as exc:  # raised again in the caller
+            reply = exc
+        _write(counts, pickle.dumps(reply))
+
+
+def _write(fd: int, data: bytes) -> None:
+    view = memoryview(data)
+    while view:
+        view = view[os.write(fd, view) :]
+
+
+def _close_helper() -> None:
+    """Close the helper's pipes and reap it once it ends its job: at exit,
+    and in a forked child, which closes its copies and cannot reap it (and
+    counts every sub-block itself if its copy of the lock is held)."""
+    global _helper
+    if _helper is not None:
+        (pid, jobs, counts), _helper = _helper, None
+        os.close(jobs)
+        counts.close()
+        with contextlib.suppress(ChildProcessError):
+            os.waitpid(pid, 0)
+
+
+atexit.register(_close_helper)
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_close_helper)
 
 
 def _ends(cells) -> tuple[list[int], list[int]]:

@@ -665,8 +665,9 @@ class TestCommandLine:
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
-# the sampler's lazy imports: numpy and the thread pool
-SAMPLER_MODULES = ("numpy", "concurrent.futures")
+# the sampler's lazy imports: numpy, and pickle, which numpy loads too and
+# which carries the helper process's jobs and counts
+SAMPLER_MODULES = ("numpy", "pickle")
 
 # one CLI call in a fresh interpreter; the last stderr line says whether
 # each sampler module was loaded by the time the command had run
@@ -691,8 +692,7 @@ def fresh_interpreter(*args: str) -> subprocess.CompletedProcess:
 
 class TestNumpyFreeStart:
     """The closed-form commands start and run without loading numpy or
-    concurrent.futures; the sampling commands load both on their first
-    estimate."""
+    pickle; the sampling commands load both on their first estimate."""
 
     def test_package_import_leaves_numpy_unloaded(self):
         proc = fresh_interpreter(

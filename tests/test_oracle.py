@@ -4,11 +4,16 @@ from __future__ import annotations
 
 import functools
 import math
+import os
+import signal
+import subprocess
 import sys
 import threading
+import time
 import tracemalloc
 import warnings
 from contextlib import nullcontext
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -56,10 +61,10 @@ class TestSplitMix64:
         assert got == reference_splitmix64(42, 8)
 
     def test_block_matches_scalar_bitwise(self):
-        # sizes either side of the 2^15 and 2^16 rows a sub-block holds and
-        # of the _SUB words uniforms fills at a time
-        sizes = (100, 1, (1 << 15) - 1, 1 << 15, (1 << 15) + 1, (1 << 16) + 3,
-                 oracle._SUB - 1, oracle._SUB + 1)
+        # sizes either side of the _SUB rows a sub-block holds, which is
+        # also the number of words uniforms fills at a time
+        sizes = (100, 1, oracle._SUB - 1, oracle._SUB, oracle._SUB + 1,
+                 2 * oracle._SUB + 3)
         for seed in (123, 0, 42, MASK64):
             for n in sizes:
                 scalar, block = SplitMix64(seed), SplitMix64(seed)
@@ -454,9 +459,8 @@ PINNED = [
 # Recorded before blocks were evaluated in 2^15-row sub-blocks: one row, a
 # block shorter than one sub-block, a partial last sub-block, exactly one
 # block, and a second block that ends in a partial sub-block.  The rows at
-# 65,535 and 65,537 samples, which straddle the 2^16-row sub-block that two
-# threads use while k <= 5, were recorded while every sub-block held 2^15
-# rows.
+# 65,535 and 65,537 samples straddle the end of the second sub-block, and
+# of the 2^16-row sub-blocks evaluated in the test that varies their size.
 SEAMS = [
     ("plain", 2, 1, "0x1.0000000000000p+0", "0x0.0p+0"),
     ("plain", 2, 32_767, "0x1.088e111c22384p-1", "0x1.69d78c42f6b82p-9"),
@@ -570,6 +574,16 @@ def test_estimates_carry_their_accepted_count(kind, size, samples, accepted):
     assert est.mean == accepted / samples * factor
 
 
+@pytest.fixture
+def fresh_helper():
+    """No helper before the test, so that one forked in it inherits the
+    test's patches, and none after it, so that the next test's helper does
+    not."""
+    oracle._close_helper()
+    yield
+    oracle._close_helper()
+
+
 @pytest.mark.parametrize(
     "kind, size, samples, mean, std_error",
     PINNED + SEAMS + SWITCH,
@@ -578,99 +592,205 @@ def test_estimates_carry_their_accepted_count(kind, size, samples, accepted):
 def test_estimates_do_not_depend_on_the_thread_count(
     monkeypatch, kind, size, samples, mean, std_error
 ):
-    _assert_any_thread_count(monkeypatch, kind, size, samples, mean, std_error)
+    # the count of workers, _WORKERS: the caller alone, or the caller and
+    # the helper process
+    _assert_helper_on_and_off(monkeypatch, kind, size, samples, mean, std_error)
 
 
-@pytest.mark.parametrize("rows", [1 << 15, 1 << 16])
+@pytest.mark.parametrize("rows", [1 << 14, 1 << 15, 1 << 16])
 @pytest.mark.parametrize(
     "kind, size, samples, mean, std_error",
     PINNED + SEAMS + SWITCH,
     ids=[f"{c[0]}-{c[1]}-{c[2]}" for c in PINNED + SEAMS + SWITCH],
 )
 def test_estimates_do_not_depend_on_the_sub_block_rows(
-    monkeypatch, rows, kind, size, samples, mean, std_error
+    monkeypatch, fresh_helper, rows, kind, size, samples, mean, std_error
 ):
-    # every k takes ``rows`` rows, on either side of the cache boundary and
-    # whatever the CPU count; the counter offsets are rebuilt for 2^16 rows
-    monkeypatch.setattr(oracle, "_SUB", 1 << 16)
+    # every sub-block holds ``rows`` rows, in the caller and in a helper
+    # forked with the counter offsets rebuilt for them
+    monkeypatch.setattr(oracle, "_SUB", rows)
     monkeypatch.setattr(oracle, "_constants", functools.cache(oracle._constants.__wrapped__))
-    monkeypatch.setattr(oracle, "_CACHE", 0 if rows == 1 << 15 else math.inf)
-    _assert_any_thread_count(monkeypatch, kind, size, samples, mean, std_error)
+    _assert_helper_on_and_off(monkeypatch, kind, size, samples, mean, std_error)
 
 
-def _assert_any_thread_count(monkeypatch, kind, size, samples, mean, std_error):
-    # three threads share out the sub-blocks on fewer cores, with the
-    # interpreter switching threads often: a sub-block claimed twice or
-    # never would change the accepted count
-    interval = sys.getswitchinterval()
-    for workers in (1, 3):
+def _assert_helper_on_and_off(monkeypatch, kind, size, samples, mean, std_error):
+    # with two workers the helper counts the odd sub-blocks of any estimate
+    # of more than one; with one the caller counts them all
+    shared = []
+    real = oracle._shared
+    monkeypatch.setattr(oracle, "_shared", lambda *job: shared.append(job) or real(*job))
+    for workers in (1, 2):
         monkeypatch.setattr(oracle, "_WORKERS", workers)
-        sys.setswitchinterval(1e-5)
-        try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", LowAcceptanceWarning)
-                est = _pinned_estimate(kind, size, samples)
-        finally:
-            sys.setswitchinterval(interval)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", LowAcceptanceWarning)
+            est = _pinned_estimate(kind, size, samples)
         assert (est.mean.hex(), est.std_error.hex()) == (mean, std_error), workers
+    assert len(shared) == (samples > oracle._SUB)
 
 
-def _failing_within(fails_on_helper: bool):
-    """``_within`` that raises on the first call from the helper threads
-    (or from the calling thread), the calling thread waiting for a helper's
-    first call so that both hold a sub-block when it fails."""
-    started = threading.Event()
+def _failing_within(side: str):
+    """``_within`` that raises on its first call in the caller, or in each
+    helper process, and then passes."""
+    caller = os.getpid()
+    fired = []  # each forked helper has its own copy
 
     def within(*args):
-        if threading.current_thread() is threading.main_thread():
-            assert started.wait(timeout=30)
-            if not fails_on_helper:
-                raise RuntimeError("in the calling thread")
-        else:
-            started.set()
-            if fails_on_helper:
-                raise RuntimeError("in a helper thread")
+        if not fired and (os.getpid() == caller) == (side == "caller"):
+            fired.append(True)
+            raise RuntimeError(f"in the {side}")
         return _within(*args)
 
     return within
 
 
-@pytest.mark.parametrize("fails_on_helper", [True, False])
-def test_an_error_in_either_thread_reaches_the_caller(monkeypatch, fails_on_helper):
+# one plain PINNED estimate of 34 sub-blocks
+_SPLIT = ("plain", 3, 1_100_000, "0x1.38f3f8ffe3671p-2", "0x1.cc9105643347bp-12")
+
+
+@pytest.mark.parametrize("side", ["helper", "caller", "dead helper"])
+def test_an_error_on_either_side_reaches_the_caller(monkeypatch, fresh_helper, side):
+    kind, size, samples, mean, std_error = _SPLIT
     monkeypatch.setattr(oracle, "_WORKERS", 2)
-    monkeypatch.setattr(oracle, "_within", _failing_within(fails_on_helper))
-    before = threading.active_count()
-    with pytest.raises(RuntimeError, match="helper" if fails_on_helper else "calling"):
-        mc_freedom(_pinned_assignment(4), 1_000_000, 4)
-    assert threading.active_count() == before
-    monkeypatch.setattr(oracle, "_within", _within)
-    est = mc_freedom(_pinned_assignment(4), 1_000_000, 4)
-    assert threading.active_count() == before
-    assert est == mc_freedom(_pinned_assignment(4), 1_000_000, 4)
+    if side == "dead helper":
+        _pinned_estimate(kind, size, samples)
+        os.kill(oracle._helper[0], signal.SIGKILL)
+        error, match = ChildProcessError, "has exited"
+    else:
+        monkeypatch.setattr(oracle, "_within", _failing_within(side))
+        error, match = RuntimeError, f"in the {side}"
+    with pytest.raises(error, match=match):
+        _pinned_estimate(kind, size, samples)
+    # a helper that raised is still in step; one that died, or was left in
+    # the middle of a job, is reaped, and the next estimate forks another
+    pid = oracle._helper and oracle._helper[0]
+    assert (pid is not None) == (side == "helper")
+    for _ in range(2):
+        est = _pinned_estimate(kind, size, samples)
+        assert (est.mean.hex(), est.std_error.hex()) == (mean, std_error)
+    assert (oracle._helper[0] == pid) == (side == "helper")
+
+
+def test_concurrent_estimates_are_pinned(monkeypatch):
+    # three threads estimate at once on fewer cores, with the interpreter
+    # switching threads often: whichever holds the helper shares its
+    # sub-blocks with it, and the others count all of theirs themselves
+    monkeypatch.setattr(oracle, "_WORKERS", 2)
+    cases = [c for c in PINNED + SEAMS if c[2] > oracle._SUB]
+    got = {}
+
+    def run(t):
+        got[t] = [_pinned_estimate(*c[:3]) for c in cases]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", LowAcceptanceWarning)
+            threads = [threading.Thread(target=run, args=(t,)) for t in range(3)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    want = [(c[3], c[4]) for c in cases]
+    for t in range(3):
+        assert [(e.mean.hex(), e.std_error.hex()) for e in got[t]] == want, t
+    # while another estimate holds the helper, this one does not wait for it
+    with oracle._helper_lock:
+        est = _pinned_estimate(*_SPLIT[:3])
+    assert (est.mean.hex(), est.std_error.hex()) == _SPLIT[3:]
 
 
 @pytest.mark.parametrize(
-    "m, samples, started",
+    "m, samples, workers, started",
     [
-        pytest.param(3, 1, 0, id="1-0"),
-        pytest.param(3, oracle._SUB, 0, id=f"{oracle._SUB}-0"),
-        pytest.param(3, oracle._SUB + 1, 1, id=f"{oracle._SUB + 1}-1"),
-        # past the cache boundary a sub-block holds 2^15 rows
-        pytest.param(7, 1 << 15, 0, id="M7-32768-0"),
-        pytest.param(7, (1 << 15) + 1, 1, id="M7-32769-1"),
-        pytest.param(12, (1 << 15) + 1, 1, id="M12-32769-1"),
+        pytest.param(3, 1, 2, False, id="1-0"),
+        pytest.param(3, oracle._SUB, 2, False, id=f"{oracle._SUB}-0"),
+        pytest.param(3, oracle._SUB + 1, 2, True, id=f"{oracle._SUB + 1}-1"),
+        pytest.param(7, oracle._SUB, 2, False, id=f"M7-{oracle._SUB}-0"),
+        pytest.param(7, oracle._SUB + 1, 2, True, id=f"M7-{oracle._SUB + 1}-1"),
+        pytest.param(12, oracle._SUB + 1, 2, True, id=f"M12-{oracle._SUB + 1}-1"),
+        pytest.param(3, 1_000_000, 1, False, id="one-worker"),
     ],
 )
-def test_one_sub_block_starts_no_thread(monkeypatch, m, samples, started):
-    monkeypatch.setattr(oracle, "_WORKERS", 2)
-    starts = []
-    start = threading.Thread.start
-    monkeypatch.setattr(threading.Thread, "start", lambda t: starts.append(t) or start(t))
+def test_one_sub_block_starts_no_helper(monkeypatch, fresh_helper, m, samples, workers, started):
+    monkeypatch.setattr(oracle, "_WORKERS", workers)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", LowAcceptanceWarning)
         mc_freedom(_pinned_assignment(m), samples, m)
-    assert len(starts) == started
-    assert not any(t.is_alive() for t in starts)
+    assert (oracle._helper is not None) == started
+
+
+# Runs one estimate that starts the helper and prints the helper's pid, then
+# does as its argument says: "exit" returns; "sleep" waits to be killed;
+# "fork" first starts a child that prints its pid and whether it holds a
+# helper, and both then wait to be killed.
+HELPER_OWNER = """\
+import os, sys, time
+from simplexfreedom import oracle, mc_freedom, validate
+oracle._WORKERS = 2
+mc_freedom(validate([0, 0, 0], [1, 1, 1]), 100_000, 0)
+print(oracle._helper[0], flush=True)
+if sys.argv[1] == "fork" and os.fork() == 0:
+    print(os.getpid(), oracle._helper, flush=True)
+    time.sleep(60)
+    os._exit(0)
+if sys.argv[1] != "exit":
+    time.sleep(60)
+"""
+
+
+def _running(pid: int) -> bool:
+    """Whether the process is there and not a zombie, which has exited and
+    waits only to be reaped."""
+    try:
+        with open(f"/proc/{pid}/stat") as f:
+            return f.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+def _gone_within(pid: int, seconds: float) -> bool:
+    deadline = time.monotonic() + seconds
+    while _running(pid):
+        if time.monotonic() > deadline:
+            return False
+        time.sleep(0.02)
+    return True
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/stat"), reason="reads /proc")
+@pytest.mark.parametrize("end", ["exit", "sleep", "fork"])
+def test_the_helper_ends_with_its_owner(end):
+    # the owner exits normally or is killed with SIGKILL; a child it forked
+    # holds no helper and does not keep the owner's alive
+    proc = subprocess.Popen(
+        [sys.executable, "-c", HELPER_OWNER, end],
+        env=dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src")),
+        stdout=subprocess.PIPE,
+        text=True,
+    )
+    child = None
+    try:
+        helper = int(proc.stdout.readline())
+        if end == "fork":
+            line = proc.stdout.readline().split()
+            child = int(line[0])
+            assert line[1] == "None"
+        if end != "exit":
+            proc.send_signal(signal.SIGKILL)
+        assert proc.wait(timeout=30) == (0 if end == "exit" else -signal.SIGKILL)
+        assert _gone_within(helper, 5)
+        assert child is None or _running(child)
+    finally:
+        proc.kill()
+        proc.wait(timeout=30)
+        if child is not None:
+            os.kill(child, signal.SIGKILL)
+            assert _gone_within(child, 5)
+        proc.stdout.close()
 
 
 @pytest.mark.parametrize(
@@ -678,29 +798,22 @@ def test_one_sub_block_starts_no_thread(monkeypatch, m, samples, started):
     [("plain", 2), ("plain", 6), ("plain", 7), ("joint", (3, 4))],
     ids=["k1", "k5", "k6", "k11"],
 )
-def test_workspaces_start_on_a_page(monkeypatch, kind, size):
-    # k = 1, 5, 6 and 11: each thread's rows and masks start on a 4 KiB page
-    # when a sub-block holds 2^15 or 2^16 rows, and the first thread's also
-    # when the estimate is shorter than one
+def test_workspaces_start_on_a_page(monkeypatch, fresh_helper, kind, size):
+    # k = 1, 5, 6 and 11: the caller cuts one workspace per estimate, whose
+    # rows and masks start on a 4 KiB page, of 2^15 rows, or of as many as
+    # an estimate shorter than that; the helper cuts its own
     monkeypatch.setattr(oracle, "_WORKERS", 2)
     seen = []
-    accepted = oracle._accepted
-
-    def spy(k, seed, plans, claims, work, ok, hit):
-        seen.append((work, ok, hit))
-        return accepted(k, seed, plans, claims, work, ok, hit)
-
-    monkeypatch.setattr(oracle, "_accepted", spy)
+    workspace = oracle._workspace
+    monkeypatch.setattr(oracle, "_workspace", lambda *a: seen.append(workspace(*a)) or seen[-1])
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", LowAcceptanceWarning)
-        _pinned_estimate(kind, size, 1_000_000)
-        assert len(seen) == 2
-        assert all(a.ctypes.data % 4096 == 0 for arrays in seen for a in arrays)
-        seen.clear()
-        _pinned_estimate(kind, size, 1_000)
-    [(work, ok, hit)] = seen
-    assert work.ctypes.data % 4096 == 0 and ok.ctypes.data % 4096 == 0
-    assert work.shape[1] == ok.shape[0] == hit.shape[0] == 1_000
+        for samples, rows in ((1_000_000, 1 << 15), (1_000, 1_000)):
+            seen.clear()
+            _pinned_estimate(kind, size, samples)
+            [(work, (ok, hit))] = seen
+            assert work.ctypes.data % 4096 == ok.ctypes.data % 4096 == 0
+            assert work.shape[1] == ok.shape[0] == hit.shape[0] == rows
 
 
 def test_sampler_memory_is_bounded_by_sub_blocks():
@@ -717,15 +830,14 @@ def test_sampler_memory_is_bounded_by_sub_blocks():
 
 
 def test_sampler_memory_is_its_workspaces():
-    # each thread's k + 1 uint64 rows and two boolean masks of as many words
-    # as a sub-block holds, and room for the Python objects of one estimate
-    # and the page alignment: filling a row takes no temporary array.  At
-    # M = 8 a sub-block holds 2^15 rows, half of _SUB on two threads; at
-    # M = 6 the k + 1 rows of _SUB words still fit in the cache budget.
-    for m, rows in ((8, 1 << 15), (6, oracle._SUB)):
+    # the caller's one workspace: k + 1 uint64 rows and two boolean masks
+    # of 2^15 words, and room for the Python objects of one estimate and
+    # the page alignment; filling a row takes no temporary array, and the
+    # helper's workspace is in its own process
+    for m in (8, 6):
         a = _pinned_assignment(m)
-        threads, k = oracle._WORKERS, a.m - 1
-        workspaces = threads * (k + 1) * rows * 8 + threads * 2 * rows
+        k, rows = a.m - 1, 1 << 15
+        workspaces = (k + 1) * rows * 8 + 2 * rows
         mc_freedom(a, 1_000_000, m)  # the cached constants are not the estimate's
         tracemalloc.start()
         try:
