@@ -79,6 +79,8 @@ from .errors import DomainError, LowAcceptanceWarning, WrongDimension
 from .measures import _conditional_mass
 
 if TYPE_CHECKING:
+    from numbers import Rational
+
     import numpy as np
 
 _MASK64 = (1 << 64) - 1
@@ -354,7 +356,12 @@ def _shared(k, seed, plans, subs, width) -> int:
     if _helper is None:
         _constants()  # numpy and the counter offsets, inherited by the fork
         (jobs_r, jobs), (counts, counts_w) = os.pipe(), os.pipe()
-        pid = os.fork()
+        try:
+            pid = os.fork()
+        except OSError:  # EAGAIN or ENOMEM: no helper, and no pipe left open
+            for fd in (jobs_r, jobs, counts, counts_w):
+                os.close(fd)
+            raise
         if pid == 0:
             try:
                 os.close(jobs)
@@ -516,9 +523,10 @@ class RegionPolygon:
     """The M=3 feasible region projected to (p1, p2), as a convex polygon.
 
     ``area_fraction`` is the polygon area divided by 1/2 (the area of the
-    full triangle p1, p2 >= 0, p1 + p2 <= 1), i.e. the same quantity the
-    freedom measure computes.  Degenerate regions (a point or segment) keep
-    their vertices but have zero area; an empty region has no vertices.
+    full triangle p1, p2 >= 0, p1 + p2 <= 1), i.e. the freedom measure, bit
+    for bit.  Each vertex coordinate and the area are exact, rounded once.
+    Degenerate regions (a point or segment) keep their distinct vertices but
+    have zero area; an empty region has no vertices.
     """
 
     vertices: tuple[tuple[float, float], ...]
@@ -526,33 +534,21 @@ class RegionPolygon:
 
 
 def _clip_halfplane(
-    points: list[tuple[float, float]], a: float, b: float, c: float
-) -> list[tuple[float, float]]:
+    points: list[tuple[Rational, Rational]], a: int, b: int, c: Rational
+) -> list[tuple[Rational, Rational]]:
     """Keep the part of a convex polygon with a*x + b*y <= c."""
-    out: list[tuple[float, float]] = []
+    out: list[tuple[Rational, Rational]] = []
     n = len(points)
     for i in range(n):
         x1, y1 = points[i]
         x2, y2 = points[(i + 1) % n]
         d1 = a * x1 + b * y1 - c
         d2 = a * x2 + b * y2 - c
-        if d1 <= 0.0:
+        if d1 <= 0:
             out.append((x1, y1))
-        if (d1 < 0.0 < d2) or (d2 < 0.0 < d1):
+        if (d1 < 0 < d2) or (d2 < 0 < d1):
             t = d1 / (d1 - d2)
             out.append((x1 + t * (x2 - x1), y1 + t * (y2 - y1)))
-    return out
-
-
-def _dedup_ring(points: list[tuple[float, float]]) -> list[tuple[float, float]]:
-    out: list[tuple[float, float]] = []
-    for p in points:
-        if not out or (abs(p[0] - out[-1][0]) > 1e-12 or abs(p[1] - out[-1][1]) > 1e-12):
-            out.append(p)
-    while len(out) > 1 and abs(out[0][0] - out[-1][0]) <= 1e-12 and abs(
-        out[0][1] - out[-1][1]
-    ) <= 1e-12:
-        out.pop()
     return out
 
 
@@ -561,33 +557,32 @@ def region_polygon(a: IntervalAssignment) -> RegionPolygon:
 
     The triangle {(p1, p2): p1, p2 >= 0, p1 + p2 <= 1} is clipped by the six
     half-planes ne_1 <= p1 <= po_1, ne_2 <= p2 <= po_2 and
-    ne_3 <= 1 - p1 - p2 <= po_3 in turn (Sutherland-Hodgman).  Vertices come
-    back counter-clockwise; the shoelace area over the half-triangle area
-    gives a sampling-free second check of the freedom measure.
+    ne_3 <= 1 - p1 - p2 <= po_3 in turn (Sutherland-Hodgman), on the exact
+    rationals of the float bounds; a vertex that repeats is dropped.
+    Vertices come back counter-clockwise; the exact shoelace area over the
+    half-triangle area, rounded once, is a sampling-free second route to the
+    freedom measure, and equals ``freedom(a)`` bit for bit.
     """
+    from fractions import Fraction  # it loads decimal: only M = 3 polygons pay for that
+
     if a.m != 3:
         raise WrongDimension(f"region polygon needs exactly 3 options, got {a.m}")
-    ne, po = a.ne, a.po
-    points: list[tuple[float, float]] = [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)]
+    ne, po = [list(map(Fraction, bounds)) for bounds in (a.ne, a.po)]
+    points: list[tuple[Rational, Rational]] = [(0, 0), (1, 0), (0, 1)]
     halfplanes = (
-        (1.0, 0.0, po[0]),          # p1 <= po1
-        (-1.0, 0.0, -ne[0]),        # p1 >= ne1
-        (0.0, 1.0, po[1]),          # p2 <= po2
-        (0.0, -1.0, -ne[1]),        # p2 >= ne2
-        (1.0, 1.0, 1.0 - ne[2]),    # p3 >= ne3
-        (-1.0, -1.0, -(1.0 - po[2])),  # p3 <= po3
+        (1, 0, po[0]),  # p1 <= po1
+        (-1, 0, -ne[0]),  # p1 >= ne1
+        (0, 1, po[1]),  # p2 <= po2
+        (0, -1, -ne[1]),  # p2 >= ne2
+        (1, 1, 1 - ne[2]),  # p3 >= ne3
+        (-1, -1, po[2] - 1),  # p3 <= po3
     )
     for h in halfplanes:
         points = _clip_halfplane(points, *h)
         if not points:
-            return RegionPolygon(vertices=(), area_fraction=0.0)
-    points = _dedup_ring(points)
+            return RegionPolygon((), 0.0)
+    points = list(dict.fromkeys(points))  # ring order, each vertex once
     # shoelace signed sum equals area/(1/2) directly
-    n = len(points)
-    signed = math.fsum(
-        points[i][0] * points[(i + 1) % n][1] - points[(i + 1) % n][0] * points[i][1]
-        for i in range(n)
-    )
-    return RegionPolygon(
-        vertices=tuple(points), area_fraction=min(1.0, max(0.0, signed))
-    )
+    ring = zip(points, points[1:] + points[:1])
+    signed = sum(x1 * y2 - x2 * y1 for (x1, y1), (x2, y2) in ring)
+    return RegionPolygon(tuple((float(x), float(y)) for x, y in points), float(signed))

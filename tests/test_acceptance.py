@@ -130,6 +130,21 @@ def test_criterion_05_geometric_oracle():
     _passed(5, "polygon area equals closed form", elapsed, f" worst {worst:.2e}")
 
 
+def test_polygon_area_is_the_closed_form_bit_for_bit():
+    """Beside criterion 5: both routes are exact and rounded once, so they
+    agree bit for bit, on 6,000 three-option assignments in three families:
+    full-precision bounds, bounds rounded to 2 decimals, and ne = 0 with po
+    rounded to 3 decimals."""
+    gen = SplitMix64(derive_worker_seed(BASE_SEED, 15))
+    for i in range(6000):
+        a = random_valid_assignment(gen, 3)
+        if i % 3 == 1:
+            a = validate([round(x, 2) for x in a.ne], [round(x, 2) for x in a.po])
+        elif i % 3 == 2:
+            a = validate([0.0] * 3, [round(x, 3) for x in a.po])
+        assert region_polygon(a).area_fraction == freedom(a), a
+
+
 def test_criterion_06_extremal_characterization():
     """freedom is exactly 1 on vacuous assignments and exactly 0 whenever a
     tightened interval collapses, over 50 constructed cases each."""

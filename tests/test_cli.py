@@ -666,16 +666,19 @@ class TestCommandLine:
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 # the sampler's lazy imports: numpy, and pickle, which numpy loads too and
-# which carries the helper process's jobs and counts
+# which carries the helper process's jobs and counts; and the M = 3 region's:
+# fractions, which loads decimal
 SAMPLER_MODULES = ("numpy", "pickle")
+REGION_MODULES = ("fractions", "decimal")
+LAZY_MODULES = SAMPLER_MODULES + REGION_MODULES
 
 # one CLI call in a fresh interpreter; the last stderr line says whether
-# each sampler module was loaded by the time the command had run
+# each lazily imported module was loaded by the time the command had run
 CHILD = (
     "import sys\n"
     "from simplexfreedom.cli import main\n"
     "code = main(sys.argv[1:])\n"
-    f"print([m in sys.modules for m in {SAMPLER_MODULES!r}], file=sys.stderr)\n"
+    f"print([m in sys.modules for m in {LAZY_MODULES!r}], file=sys.stderr)\n"
     "sys.exit(code)\n"
 )
 
@@ -692,16 +695,17 @@ def fresh_interpreter(*args: str) -> subprocess.CompletedProcess:
 
 class TestNumpyFreeStart:
     """The closed-form commands start and run without loading numpy or
-    pickle; the sampling commands load both on their first estimate."""
+    pickle; the sampling commands load both on their first estimate.  Only
+    ``region`` loads fractions and decimal."""
 
     def test_package_import_leaves_numpy_unloaded(self):
         proc = fresh_interpreter(
             "-c",
             "import sys, simplexfreedom\n"
-            f"print([m in sys.modules for m in {SAMPLER_MODULES!r}])",
+            f"print([m in sys.modules for m in {LAZY_MODULES!r}])",
         )
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout == "[False, False]\n"
+        assert proc.stdout == "[False, False, False, False]\n"
 
     @pytest.mark.parametrize(
         "argv, loads_sampler",
@@ -719,6 +723,8 @@ class TestNumpyFreeStart:
         path = write(tmp_path, "a.json", F3_QUARTER)
         argv = [argv[0], path, *argv[1:]]
         proc = fresh_interpreter("-c", CHILD, *argv)
-        assert proc.stderr.splitlines()[-1] == str([loads_sampler] * 2), proc.stderr
+        loads = [loads_sampler] * len(SAMPLER_MODULES)
+        loads += [argv[0] == "region"] * len(REGION_MODULES)
+        assert proc.stderr.splitlines()[-1] == str(loads), proc.stderr
         code = main(argv)
         assert (proc.returncode, proc.stdout) == (code, capsys.readouterr().out)

@@ -62,12 +62,16 @@ def _table(rnd: random.Random, k: int, m: int, joint: bool):
 
 
 def _cases(command: str) -> list[tuple[dict, list[str]]]:
-    """(input document, flags) for each run of ``command``, 40 inputs over
+    """(input document, flags) for each run of ``command``, 42 inputs over
     the seven commands.  Each command draws from its own seed, so a case
     added to one command moves no other command's inputs."""
     rnd = random.Random(f"cli-golden:{command}")
     a = functools.partial(_assignment, rnd)
     infeasible = {"options": [{"ne": 0.7, "po": 0.9}, {"ne": 0.5, "po": 0.6}]}
+    # M = 3 regions of no area: one point, and a segment on p1 + p2 = 0.7
+    point = {"options": [{"ne": p, "po": p} for p in (0.2, 0.3, 0.5)]}
+    segment = {"options": [{"ne": 0.1, "po": 0.6}, {"ne": 0.2, "po": 0.6},
+                           {"ne": 0.3, "po": 0.3}]}
     return {
         "validate": lambda: [(a(m), []) for m in (2, 4, 7)]
         + [(a(5, points=1), []), (infeasible, [])],
@@ -95,7 +99,7 @@ def _cases(command: str) -> list[tuple[dict, list[str]]]:
                                 (2, 4, True), (3, 4, False), (4, 4, True))
         ],
         "region": lambda: [(a(3, grid=g), []) for g in (False, True, False)]
-        + [(a(3, points=1), []), (a(4), [])],
+        + [(a(3, points=1), []), (a(4), []), (point, []), (segment, [])],
     }[command]()
 
 
@@ -106,7 +110,7 @@ DIGESTS = {
     "subsets": "79320e111b92b98b96dbc25f51f8c9cf5eb3f335ccf335de6c5f56eec9e597e9",
     "sensitivity": "a71301b2b86bbcba3db907ce1c1e350e4fc43bb7b9ab42f3f51b839ec062edd3",
     "crosstab": "fc84800674572f49f8ea10ab9503138ae9f10e019e4c373ebc4876c908f6b1a2",
-    "region": "d2d5d8560b7ac79b04dac5fda0ed95ac498f1779a75076f7d1a37b758aebf901",
+    "region": "ce3fbe2c9fb433bedb21f0b513ce68dc0c86b843b72a0111b3e4789f64b9a25b",
 }
 
 

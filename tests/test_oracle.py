@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import errno
 import functools
 import math
 import os
@@ -13,6 +14,7 @@ import time
 import tracemalloc
 import warnings
 from contextlib import nullcontext
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -670,6 +672,31 @@ def test_an_error_on_either_side_reaches_the_caller(monkeypatch, fresh_helper, s
     assert (oracle._helper[0] == pid) == (side == "helper")
 
 
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="reads /proc")
+def test_a_failed_fork_leaves_no_pipe_open(monkeypatch, fresh_helper):
+    # a fork that fails (EAGAIN, ENOMEM) reaches the caller, and the two
+    # pipes made for the helper are closed; the next fork starts one
+    kind, size, samples, mean, std_error = _SPLIT
+    monkeypatch.setattr(oracle, "_WORKERS", 2)
+    fork = os.fork
+
+    def no_fork():
+        raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    fds = len(os.listdir("/proc/self/fd"))
+    for _ in range(3):
+        with pytest.raises(OSError) as info:
+            _pinned_estimate(kind, size, samples)
+        assert info.value.errno == errno.EAGAIN
+    assert len(os.listdir("/proc/self/fd")) == fds
+    assert oracle._helper is None
+    monkeypatch.setattr(os, "fork", fork)
+    est = _pinned_estimate(kind, size, samples)
+    assert oracle._helper is not None
+    assert (est.mean.hex(), est.std_error.hex()) == (mean, std_error)
+
+
 def test_concurrent_estimates_are_pinned(monkeypatch):
     # three threads estimate at once on fewer cores, with the interpreter
     # switching threads often: whichever holds the helper shares its
@@ -875,14 +902,25 @@ class TestRegionPolygon:
                 assert a.ne[2] - 1e-9 <= p3 <= a.po[2] + 1e-9
 
     def test_degenerate_point_region(self):
+        # the doubles 0.2 + 0.3 sum to 0.5 exactly, so the region is one point
         poly = region_polygon(validate([0.2, 0.3, 0.5], [0.2, 0.3, 0.5]))
-        assert poly.area_fraction == pytest.approx(0.0, abs=1e-12)
+        assert poly.vertices == ((0.2, 0.3),)
+        assert poly.area_fraction == 0.0
+
+    def test_degenerate_segment_region(self):
+        # p3 = 0.3 cuts the segment p1 + p2 = 1 - 0.3 out of the box, and
+        # its end on p2 = 0.6 is the exact 1 - 0.3 - 0.6 of the doubles
+        poly = region_polygon(validate([0.1, 0.2, 0.3], [0.6, 0.6, 0.3]))
+        p1 = float(1 - Fraction(0.3) - Fraction(0.6))
+        assert p1 != 0.1
+        assert poly.vertices == ((p1, 0.6), (0.5, 0.2))
+        assert poly.area_fraction == 0.0
 
     def test_ring_closing_duplicate_dropped(self):
         # the clipped ring ends on its first vertex; the segment keeps two
         a = validate([0.1, 0.25, 0.5], [0.5691075034743235, 0.25, 0.6666666666666666])
         poly = region_polygon(a)
-        assert poly.vertices == ((0.25, 0.25), (0.09999999999999999, 0.25))
+        assert poly.vertices == ((0.25, 0.25), (0.1, 0.25))
         assert poly.area_fraction == 0.0
 
     def test_empty_region(self):
