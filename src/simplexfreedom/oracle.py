@@ -26,12 +26,14 @@ one spacing per test for a box, one table row or column per test for a joint
 table.  They share one layout: rows come in blocks of 2^20 (the last holds
 the rest), coordinate i of row r in a block is word i*rows + r of that
 block, and each row is sorted ascending (any correct sort gives the same
-bits).  That layout is the contract.  A block is evaluated one 2^15-row
-sub-block at a time, each coordinate read from the stream seeked to the
-start of its counter run, which is only an order of evaluation: it changes
-no bit of any estimate.  So is the process: with a second CPU, one helper
-process, forked once, counts the odd sub-blocks of an estimate while the
-caller counts the even ones.  splitmix64 is counter-based, so any split of
+bits).  That layout is the contract.  A block is evaluated one sub-block
+at a time, each coordinate read from the stream seeked to the start of its
+counter run, which is only an order of evaluation: it changes no bit of any
+estimate.  So is the sub-block's size: at most 2^15 rows, and fewer as k
+grows, so that a process's k + 1 rows of it stay in its L2 cache
+(``_rows``).  So is the process: with a second CPU, one helper process,
+forked once, counts the odd sub-blocks of an estimate while the caller
+counts the even ones.  splitmix64 is counter-based, so any split of
 the counter space draws the same words (Steele, Lea & Flood, OOPSLA 2014;
 Salmon et al., SC 2011).  Each process has one sub-block workspace, cut from
 one buffer so that its rows and masks start on 4 KiB pages: k coordinate
@@ -100,11 +102,19 @@ _ONE = 1 << 53
 # fork unsafe).  Two threads, which share the interpreter lock, measured
 # slower than two processes (M = 8: 16.8 vs 12.9 ms per 10^6 samples).
 _WORKERS = min(2, len(os.sched_getaffinity(0))) if hasattr(os, "sched_getaffinity") else 1
-# Rows per sub-block at most, in every process: 2^15 keeps the working set
-# ((k + 1) * 256 KiB of 64-bit words) in cache, and 2^16 measured 10-35%
-# slower (M = 8: 49-52 -> 54-69 ms per 10^6 samples).  Only the order of
+# Rows per sub-block at most, in every process, and the rows of
+# ``SplitMix64.uniforms``' one scratch row: 2^16 measured 10-35% slower
+# than 2^15 (M = 8: 49-52 -> 54-69 ms per 10^6 samples).  Only the order of
 # evaluation depends on it; estimates do not.
 _SUB = 1 << 15
+# A process's k + 1 uint64 rows of one sub-block fit in this many bytes
+# (``_rows``), three quarters of a core's 2 MiB L2: 2^15 rows for k <= 5,
+# 2^14 for k = 6..11, 2^13 for k = 12..23, and so on down to one row.  Per
+# estimate at 10^6 samples on two workers, 2^15 against 2^14 rows: 3x4
+# tables (k = 11) 26.1 against 22.4 ms, 3x3 16.0 against 14.5, 2x4 13.3
+# against 12.5, M = 8 13.4 against 12.7 and M = 7 10.8 against 10.6 ms;
+# at k <= 5, 2^14 rows measured 2-7% slower.
+_L2 = 3 << 19
 # Each estimate's workspace starts on a page: where the heap put it moved a
 # whole estimate (16 vs 0 mod 64 bytes at 10^6 samples: M = 6 14.0 vs
 # 12.6 ms, M = 9 23.2 vs 22.1 ms).
@@ -261,19 +271,21 @@ def _estimate(
     Each test becomes integer cuts (``_cuts``) and the sorted integers its
     sum adds and subtracts (``_ends``), summed into the spare row; uint64
     arithmetic wraps modulo 2^64, and every sum ends in [0, 2^53], so the
-    order of the terms is free.  The helper counts the odd sub-blocks
+    order of the terms is free.  Each sub-block holds ``_rows(k)`` rows
+    (the last of a block the rest).  The helper counts the odd sub-blocks
     (``_shared``) unless there is one worker or one sub-block, or another
     thread's estimate holds it; then this thread counts them all."""
     seed = _seed(seed)
     plans = [(*_ends(cells), _cuts(ne, po, scale)) for cells, ne, po in tests]
+    sub = _rows(k)
     # every sub-block of every block, as (block start, rows, start, length)
     subs = [
-        (done, rows, start, min(_SUB, rows - start))
+        (done, rows, start, min(sub, rows - start))
         for done in range(0, samples, _CHUNK)
         for rows in [min(_CHUNK, samples - done)]
-        for start in range(0, rows, _SUB)
+        for start in range(0, rows, sub)
     ]
-    job = (k, seed, plans, subs, min(_SUB, samples))
+    job = (k, seed, plans, subs, min(sub, samples))
     if _WORKERS > 1 and len(subs) > 1 and _helper_lock.acquire(blocking=False):
         try:
             accepted = _shared(*job)
@@ -288,6 +300,12 @@ def _estimate(
     frac = accepted / samples
     se = factor * math.sqrt(frac * (1.0 - frac) / samples)
     return MCEstimate(frac * factor, se, samples, seed, accepted)
+
+
+def _rows(k: int) -> int:
+    """Rows per sub-block at k coordinates: the largest power of two, at most
+    ``_SUB`` and at least 1, whose k + 1 uint64 rows fit in ``_L2`` bytes."""
+    return min(_SUB, 1 << max(0, (_L2 // (8 * (k + 1))).bit_length() - 1))
 
 
 def _workspace(k: int, width: int) -> tuple[np.ndarray, np.ndarray]:
@@ -447,12 +465,29 @@ def _cuts(ne: float, po: float, scale: float = 1.0) -> tuple[int, int]:
 
     s * 2^-53 is exact and rounding is monotone, so the tested double is
     nondecreasing in s and each side of the test holds on a run of s;
-    ``bisect`` finds where each run starts, reading no s past 2^53.  No s
-    passing gives (1, 0)."""
-    every = range(_ONE + 1)  # each s in it is exact as a float
-    lo = bisect.bisect_left(every, True, key=lambda s: s * 2.0**-53 * scale >= ne)
-    hi = bisect.bisect_left(every, True, key=lambda s: not s * 2.0**-53 * scale <= po)
+    ``_first`` finds where each run starts, from the guess the real
+    quotient gives.  No s passing gives (1, 0)."""
+    lo = _first(lambda s: s * 2.0**-53 * scale >= ne, ne / scale * 2.0**53)
+    hi = _first(lambda s: not s * 2.0**-53 * scale <= po, po / scale * 2.0**53)
     return (lo, hi - 1) if lo < hi else (1, 0)
+
+
+def _first(key, guess: float) -> int:
+    """The least s in [0, 2^53] at which ``key``, false and then true as s
+    grows, holds, or 2^53 + 1 if it holds at none.  The search starts at
+    the guess, clamped to [0, 2^53] (a quotient can be inf) and rounded up,
+    and steps away from it by doubling steps until the boundary lies between
+    a failing and a passing s, which ``bisect`` then finds: the float test
+    stays the definition, and a guess a few ulps off costs a few calls of
+    it.  No s past 2^53 is read."""
+    a = b = math.ceil(min(2.0**53, max(0.0, guess)))
+    step = 1
+    while b <= _ONE and not key(b):  # the answer is past b
+        a, b, step = b + 1, min(b + step, _ONE + 1), 2 * step
+    step = 1
+    while a > 0 and key(a - 1):  # the answer is a - 1 or before
+        b, a, step = a - 1, max(a - 1 - step, 0), 2 * step
+    return bisect.bisect_left(range(_ONE + 1), True, a, b, key=key)
 
 
 def _within(

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import bisect
 import errno
 import functools
 import math
@@ -194,6 +195,42 @@ class TestIntegerCuts:
         # 0.3 is no multiple of 2^-53
         lo, hi = self.check(0.3, 0.3, 1.0)
         assert lo > hi
+
+    @staticmethod
+    def bisected(ne, po, q):
+        """The cuts by bisecting the float test over all of [0, 2^53]."""
+        every = range(ONE + 1)
+        lo = bisect.bisect_left(every, True, key=lambda s: s * 2.0**-53 * q >= ne)
+        hi = bisect.bisect_left(every, True, key=lambda s: not s * 2.0**-53 * q <= po)
+        return (lo, hi - 1) if lo < hi else (1, 0)
+
+    def test_guessed_start_matches_bisection_at_the_edges(self):
+        # the search starts from ne / q * 2^53, which is inf at q = 5e-324
+        # and far off wherever (s * 2^-53) * q is subnormal
+        edges = [0.0, 1.0, 1e-12, -1e-12, 2.0**-53, 5e-324, 1 - 2.0**-53,
+                 1 + 1e-12, 0.25, 0.3, 0.7 * 2.0**-53, 2.0**-60 * 0.3]
+        masses = [1.0, 0.7, 1 / 3, 0.1, 2.0**-60, 5e-324, 1 - 2.0**-53, 1e-300]
+        empty = 0
+        for q in masses:
+            for ne in edges:
+                for po in edges:
+                    cut = _cuts(ne, po, q)
+                    assert cut == self.bisected(ne, po, q), (ne, po, q)
+                    empty += cut == (1, 0)
+        assert empty > 0
+
+    def test_guessed_start_matches_bisection_on_seeded_tests(self):
+        # bounds drawn at random, and bounds that are exactly a tested
+        # double (s * 2^-53) * q or one ulp beside it
+        rng = SplitMix64(28)
+        for _ in range(2000):
+            q = 1.0 - rng.random()
+            ne, po = rng.random(), rng.random()
+            assert _cuts(ne, po, q) == self.bisected(ne, po, q)
+            x = (rng.next_uint64() >> 11) * 2.0**-53 * q
+            for ne, po in ((x, x), (math.nextafter(x, 0), math.nextafter(x, 2)),
+                           (math.nextafter(x, 2), 1.0), (0.0, math.nextafter(x, 0))):
+                assert _cuts(ne, po, q) == self.bisected(ne, po, q), (ne, po, q)
 
 
 def _random_box(rng: SplitMix64, m: int, q: float = 1.0) -> IntervalAssignment:
@@ -430,6 +467,11 @@ def _wide_assignment(m: int) -> IntervalAssignment:
 _Q = {"conditional": 0.7, "q=0.1": 0.1, "q=1/3": 1 / 3}
 
 
+def _k(kind, size) -> int:
+    """The coordinates an estimate sorts per row: M - 1, or cells - 1."""
+    return size - 1 if kind != "joint" else size[0] * size[1] - 1
+
+
 def _pinned_estimate(kind, size, samples):
     if kind == "plain":
         return mc_freedom(_pinned_assignment(size), samples, size)
@@ -608,16 +650,19 @@ def test_estimates_do_not_depend_on_the_thread_count(
 def test_estimates_do_not_depend_on_the_sub_block_rows(
     monkeypatch, fresh_helper, rows, kind, size, samples, mean, std_error
 ):
-    # every sub-block holds ``rows`` rows, in the caller and in a helper
-    # forked with the counter offsets rebuilt for them
+    # every sub-block holds ``rows`` rows at every k, in the caller and in a
+    # helper forked with the counter offsets rebuilt for them
     monkeypatch.setattr(oracle, "_SUB", rows)
+    monkeypatch.setattr(oracle, "_L2", 1 << 40)
     monkeypatch.setattr(oracle, "_constants", functools.cache(oracle._constants.__wrapped__))
+    assert oracle._rows(_k(kind, size)) == rows
     _assert_helper_on_and_off(monkeypatch, kind, size, samples, mean, std_error)
 
 
 def _assert_helper_on_and_off(monkeypatch, kind, size, samples, mean, std_error):
     # with two workers the helper counts the odd sub-blocks of any estimate
-    # of more than one; with one the caller counts them all
+    # of more than one sub-block of ``_rows(k)`` rows; with one the caller
+    # counts them all
     shared = []
     real = oracle._shared
     monkeypatch.setattr(oracle, "_shared", lambda *job: shared.append(job) or real(*job))
@@ -627,7 +672,39 @@ def _assert_helper_on_and_off(monkeypatch, kind, size, samples, mean, std_error)
             warnings.simplefilter("ignore", LowAcceptanceWarning)
             est = _pinned_estimate(kind, size, samples)
         assert (est.mean.hex(), est.std_error.hex()) == (mean, std_error), workers
-    assert len(shared) == (samples > oracle._SUB)
+    assert len(shared) == (samples > oracle._rows(_k(kind, size)))
+
+
+@pytest.mark.parametrize(
+    "k, rows",
+    [(k, 1 << 15) for k in range(1, 6)]
+    + [(k, 1 << 14) for k in range(6, 12)]
+    + [(k, 1 << 13) for k in range(12, 24)]
+    + [(24, 1 << 12), (47, 1 << 12), (48, 1 << 11)],
+)
+def test_sub_block_rows_follow_the_cache_budget(k, rows):
+    # the largest power of two, at most 2^15, whose k + 1 uint64 rows fit in
+    # 1.5 MiB
+    assert oracle._rows(k) == rows
+
+
+# one-row sub-blocks: one estimate of 20,000 of them, and estimates of one
+_FLOORED = [c for c in SEAMS if c[2] == 1] + PINNED[:1]
+
+
+@pytest.mark.parametrize(
+    "kind, size, samples, mean, std_error",
+    _FLOORED,
+    ids=[f"{c[0]}-{c[1]}-{c[2]}" for c in _FLOORED],
+)
+def test_sub_block_rows_never_fall_below_one(
+    monkeypatch, fresh_helper, kind, size, samples, mean, std_error
+):
+    # a budget too small for one row at any k still gives one-row sub-blocks,
+    # and no other bits
+    monkeypatch.setattr(oracle, "_L2", 1)
+    assert {oracle._rows(k) for k in (1, 11, 1000)} == {1}
+    _assert_helper_on_and_off(monkeypatch, kind, size, samples, mean, std_error)
 
 
 def _failing_within(side: str):
@@ -736,8 +813,8 @@ def test_concurrent_estimates_are_pinned(monkeypatch):
         pytest.param(3, 1, 2, False, id="1-0"),
         pytest.param(3, oracle._SUB, 2, False, id=f"{oracle._SUB}-0"),
         pytest.param(3, oracle._SUB + 1, 2, True, id=f"{oracle._SUB + 1}-1"),
-        pytest.param(7, oracle._SUB, 2, False, id=f"M7-{oracle._SUB}-0"),
-        pytest.param(7, oracle._SUB + 1, 2, True, id=f"M7-{oracle._SUB + 1}-1"),
+        pytest.param(7, oracle._rows(6), 2, False, id=f"M7-{oracle._rows(6)}-0"),
+        pytest.param(7, oracle._rows(6) + 1, 2, True, id=f"M7-{oracle._rows(6) + 1}-1"),
         pytest.param(12, oracle._SUB + 1, 2, True, id=f"M12-{oracle._SUB + 1}-1"),
         pytest.param(3, 1_000_000, 1, False, id="one-worker"),
     ],
@@ -821,21 +898,23 @@ def test_the_helper_ends_with_its_owner(end):
 
 
 @pytest.mark.parametrize(
-    "kind, size",
-    [("plain", 2), ("plain", 6), ("plain", 7), ("joint", (3, 4))],
+    "kind, size, sub",
+    [("plain", 2, 1 << 15), ("plain", 6, 1 << 15), ("plain", 7, 1 << 14),
+     ("joint", (3, 4), 1 << 14)],
     ids=["k1", "k5", "k6", "k11"],
 )
-def test_workspaces_start_on_a_page(monkeypatch, fresh_helper, kind, size):
+def test_workspaces_start_on_a_page(monkeypatch, fresh_helper, kind, size, sub):
     # k = 1, 5, 6 and 11: the caller cuts one workspace per estimate, whose
-    # rows and masks start on a 4 KiB page, of 2^15 rows, or of as many as
-    # an estimate shorter than that; the helper cuts its own
+    # rows and masks start on a 4 KiB page, of 2^15 rows up to k = 5 and
+    # 2^14 from k = 6, or of as many as an estimate shorter than that; the
+    # helper cuts its own
     monkeypatch.setattr(oracle, "_WORKERS", 2)
     seen = []
     workspace = oracle._workspace
     monkeypatch.setattr(oracle, "_workspace", lambda *a: seen.append(workspace(*a)) or seen[-1])
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", LowAcceptanceWarning)
-        for samples, rows in ((1_000_000, 1 << 15), (1_000, 1_000)):
+        for samples, rows in ((1_000_000, sub), (1_000, 1_000)):
             seen.clear()
             _pinned_estimate(kind, size, samples)
             [(work, (ok, hit))] = seen
@@ -858,12 +937,14 @@ def test_sampler_memory_is_bounded_by_sub_blocks():
 
 def test_sampler_memory_is_its_workspaces():
     # the caller's one workspace: k + 1 uint64 rows and two boolean masks
-    # of 2^15 words, and room for the Python objects of one estimate and
-    # the page alignment; filling a row takes no temporary array, and the
-    # helper's workspace is in its own process
+    # of one sub-block's rows (2^14 at M = 8, 2^15 at M = 6), and room for
+    # the Python objects of one estimate and the page alignment; filling a
+    # row takes no temporary array, and the helper's workspace is in its
+    # own process
     for m in (8, 6):
         a = _pinned_assignment(m)
-        k, rows = a.m - 1, 1 << 15
+        k = a.m - 1
+        rows = oracle._rows(k)
         workspaces = (k + 1) * rows * 8 + 2 * rows
         mc_freedom(a, 1_000_000, m)  # the cached constants are not the estimate's
         tracemalloc.start()
