@@ -14,7 +14,6 @@ error, 3 usage error.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import json
 import math
@@ -200,7 +199,7 @@ def _cmd_sensitivity(cfg: argparse.Namespace, a: IntervalAssignment):
         delta = 0.05 if cfg.delta is None else cfg.delta
         rep = sensitivity.impact_compare(a, k, delta)
         mode = "perturbation"
-    return {"mode": mode, **vars(rep), "index": rep.index + 1}
+    return {"mode": mode, **rep._asdict(), "index": rep.index + 1}
 
 
 def _cmd_crosstab(cfg: argparse.Namespace, table: ct.CrossTable):
@@ -214,7 +213,7 @@ def _cmd_crosstab(cfg: argparse.Namespace, table: ct.CrossTable):
             cc = ct.classify_cell(*margins)
             row_out.append(
                 {
-                    **vars(ct.cell_bounds(*margins)),
+                    **ct.cell_bounds(*margins)._asdict(),
                     "case": cc.case_tag,
                     "d_maximizing": cc.d_maximizing,
                 }
@@ -258,7 +257,7 @@ def _cmd_crosstab(cfg: argparse.Namespace, table: ct.CrossTable):
 
 
 def _cmd_region(cfg: argparse.Namespace, a: IntervalAssignment):
-    return vars(oracle.region_polygon(a))
+    return oracle.region_polygon(a)._asdict()
 
 
 # the command table: name -> (input parser, handler, one-line help)
@@ -321,6 +320,8 @@ def _csv_cell(v) -> str:
 def _emit_csv(cfg: argparse.Namespace, report: dict) -> None:
     """One row per report; subsets emit one row per entry, crosstab one per
     cell (documented column orders in the README)."""
+    import csv  # only CSV output pays for loading it
+
     res = report["results"]
     head = {key: report[key] for key in ("command", "input", "seed", "samples")}
     if cfg.command == "subsets":

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import ValidationError, Violation
 
@@ -31,13 +31,19 @@ class AssignmentClass(enum.Enum):
     PARTIAL = "partial"
 
 
-@dataclass(frozen=True)
-class IntervalAssignment:
+class _AssignmentFields(NamedTuple):
+    options: tuple[str, ...]
+    ne: tuple[float, ...]
+    po: tuple[float, ...]
+
+
+class IntervalAssignment(_AssignmentFields):
     """Immutable necessity/possibility bounds over a set of named options.
 
     Construction checks only per-option structure (matching lengths, values
     in [0,1], ne_i <= po_i); values within TOLERANCE of those constraints are
-    snapped onto them.  Use :func:`validate` for the full feasibility contract
+    snapped onto them.  ``_make`` and ``_replace`` build through the same
+    checks.  Use :func:`validate` for the full feasibility contract
     (at least two options, sum(ne) <= 1 <= sum(po)).  Inside the package
     only :func:`validate` and :func:`tighten` construct one; the relaxed
     constructor serves callers whose bounds do not fit that contract: the
@@ -46,14 +52,12 @@ class IntervalAssignment:
     cross-table margin.
     """
 
-    options: tuple[str, ...]
-    ne: tuple[float, ...]
-    po: tuple[float, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        options = tuple(str(x) for x in self.options)
-        ne = [float(x) for x in self.ne]
-        po = [float(x) for x in self.po]
+    def __new__(cls, options, ne, po) -> IntervalAssignment:
+        options = tuple(str(x) for x in options)
+        ne = [float(x) for x in ne]
+        po = [float(x) for x in po]
         violations = _structural_violations(ne, po, len(options))
         if violations:
             raise ValidationError(violations)
@@ -62,9 +66,11 @@ class IntervalAssignment:
             po[i] = min(max(po[i], 0.0), 1.0)
             if ne[i] > po[i]:  # within tolerance by the checks above
                 ne[i] = po[i]
-        object.__setattr__(self, "options", options)
-        object.__setattr__(self, "ne", tuple(ne))
-        object.__setattr__(self, "po", tuple(po))
+        return super().__new__(cls, options, tuple(ne), tuple(po))
+
+    @classmethod
+    def _make(cls, iterable) -> IntervalAssignment:
+        return cls(*iterable)
 
     @property
     def m(self) -> int:

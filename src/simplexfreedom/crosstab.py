@@ -16,7 +16,7 @@ closed form here; it is estimated by rejection sampling over the full
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .core import TOLERANCE, IntervalAssignment
 from .errors import (
@@ -64,8 +64,7 @@ def _frechet(a: float, b: float) -> tuple[float, float]:
     return max(0.0, a + b - 1.0), min(a, b)
 
 
-@dataclass(frozen=True)
-class CellBounds:
+class CellBounds(NamedTuple):
     """Frechet bounds on one cell's necessity and possibility."""
 
     ne_lower: float
@@ -107,8 +106,7 @@ def dependency(p_joint: float, p_row: float, p_col: float) -> float:
     return min(1.0, max(0.0, (p_joint - b) / (a - b)))
 
 
-@dataclass(frozen=True)
-class CellCase:
+class CellCase(NamedTuple):
     """Which dependency extreme maximizes the cell's nonspecificity.
 
     ``d_maximizing`` is the dependency value (0.0 or 1.0) at which the
@@ -172,25 +170,30 @@ def cell_width_vs_dependency(
     return max(0.0, pinned(po_row, po_col) - pinned(ne_row, ne_col))
 
 
-@dataclass(frozen=True)
-class CrossTable:
+class _CrossTableFields(NamedTuple):
+    row_marginals: IntervalAssignment
+    col_marginals: IntervalAssignment
+    joint: tuple[tuple[float, ...], ...] | None = None
+
+
+class CrossTable(_CrossTableFields):
     """Interval-constrained margins of a K x M table, plus an optional point
     joint table for dependency analysis.
 
     A supplied joint must be a K x M matrix of probabilities in [0, 1]
     summing to 1, with every cell inside the Frechet bounds of its margins
-    and every row/column sum inside its marginal interval.
+    and every row/column sum inside its marginal interval.  ``_make`` and
+    ``_replace`` build through the same checks.
     """
 
-    row_marginals: IntervalAssignment
-    col_marginals: IntervalAssignment
-    joint: tuple[tuple[float, ...], ...] | None = None
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.joint is None:
-            return
-        k, m = self.shape
-        joint = tuple(tuple(float(x) for x in row) for row in self.joint)
+    def __new__(cls, row_marginals, col_marginals, joint=None) -> CrossTable:
+        if joint is None:
+            return super().__new__(cls, row_marginals, col_marginals)
+        rows, cols = row_marginals, col_marginals
+        k, m = rows.m, cols.m
+        joint = tuple(tuple(float(x) for x in row) for row in joint)
         if len(joint) != k or any(len(row) != m for row in joint):
             raise ValidationError(
                 [Violation("LengthMismatch", f"joint must be {k}x{m}")]
@@ -203,8 +206,6 @@ class CrossTable:
             raise ValidationError(
                 [Violation("Infeasible", f"joint sums to {total:.12g}, not 1")]
             )
-        rows = self.row_marginals
-        cols = self.col_marginals
         for i in range(k):
             for j in range(m):
                 lo = _frechet(rows.ne[i], cols.ne[j])[0]
@@ -229,7 +230,11 @@ class CrossTable:
                     )
         if bad:
             raise ValidationError(bad)
-        object.__setattr__(self, "joint", joint)
+        return super().__new__(cls, row_marginals, col_marginals, joint)
+
+    @classmethod
+    def _make(cls, iterable) -> CrossTable:
+        return cls(*iterable)
 
     @property
     def shape(self) -> tuple[int, int]:

@@ -2,15 +2,14 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
 class FreedomError(Exception):
     """Base class for every error raised by this package."""
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     """One violated invariant: a stable code plus a human-readable message.
 
     Codes used by validation: "BoundOrder", "RangeError", "Infeasible",

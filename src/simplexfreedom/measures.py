@@ -30,7 +30,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from collections.abc import Sequence
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .core import TOLERANCE, IntervalAssignment
 from .errors import CapExceeded, DomainError, ValidationError, Violation
@@ -286,8 +286,7 @@ def hartley_nonspecificity(a: IntervalAssignment) -> float:
     return math.fsum((p[i] - p[i + 1]) * math.log2(i + 1) for i in range(a.m))
 
 
-@dataclass(frozen=True)
-class MeasureReport:
+class MeasureReport(NamedTuple):
     """All four measures of one assignment (plus the optional conditional)."""
 
     freedom: float
@@ -321,8 +320,7 @@ def measure_report(a: IntervalAssignment, q: float | None = None) -> MeasureRepo
     )
 
 
-@dataclass(frozen=True)
-class SubsetEntry:
+class SubsetEntry(NamedTuple):
     """Conditional freedom of one retained subset of options."""
 
     indices: tuple[int, ...]
@@ -331,8 +329,7 @@ class SubsetEntry:
     conditional_freedom: float
 
 
-@dataclass(frozen=True)
-class SubsetScan:
+class SubsetScan(NamedTuple):
     entries: tuple[SubsetEntry, ...]
     omitted: int
 

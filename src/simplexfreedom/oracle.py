@@ -73,8 +73,7 @@ import operator
 import os
 import threading
 import warnings
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .core import IntervalAssignment
 from .errors import DomainError, LowAcceptanceWarning, WrongDimension
@@ -223,8 +222,7 @@ def _fill(w: np.ndarray, state: int, scratch: np.ndarray) -> None:
     w >>= s11
 
 
-@dataclass(frozen=True)
-class MCEstimate:
+class MCEstimate(NamedTuple):
     """A Monte-Carlo volume estimate, its binomial standard error, and the
     count of accepted samples behind it."""
 
@@ -553,8 +551,7 @@ def mc_freedom_conditional(
     return _estimate(a.m - 1, samples, seed, tests, q)
 
 
-@dataclass(frozen=True)
-class RegionPolygon:
+class RegionPolygon(NamedTuple):
     """The M=3 feasible region projected to (p1, p2), as a convex polygon.
 
     ``area_fraction`` is the polygon area divided by 1/2 (the area of the

@@ -17,7 +17,7 @@ the condition, so reports carry the measured losses rather than trusting it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .core import TOLERANCE, IntervalAssignment, _set_violations
 from .errors import (
@@ -35,8 +35,7 @@ NE_DOMINATES = "ne_dominates"
 TIE = "tie"
 
 
-@dataclass(frozen=True)
-class SensitivityReport:
+class SensitivityReport(NamedTuple):
     """Freedom lost to a possibility cut versus a necessity raise at one
     coordinate.  ``delta`` is the perturbation (or imposition) magnitude."""
 

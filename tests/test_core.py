@@ -106,6 +106,21 @@ class TestValidate:
         with pytest.raises(ValidationError):
             IntervalAssignment(("a", "b"), (0.5, 0.2), (0.4, 0.3))
 
+    def test_replace_checks_structure(self):
+        with pytest.raises(ValidationError):
+            validate([0.2, 0.1], [0.9, 0.8])._replace(ne=(2.0, 0.0))
+
+    def test_make_checks_structure(self):
+        with pytest.raises(ValidationError):
+            IntervalAssignment._make([("x", "y"), (5.0, 0.0), (0.1, 0.2)])
+
+    def test_make_and_replace_snap_like_the_constructor(self):
+        a = IntervalAssignment._make([["a", "b"], [0.0, -1e-10], [1.0 + 1e-10, 1.0]])
+        assert a == IntervalAssignment(("a", "b"), (0.0, 0.0), (1.0, 1.0))
+        assert type(a) is IntervalAssignment
+        b = a._replace(po=[1, 0.5])
+        assert (type(b), b.po) == (IntervalAssignment, (1.0, 0.5))
+
 
 class TestTighten:
     def test_already_tight_unchanged(self):

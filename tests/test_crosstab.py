@@ -238,6 +238,23 @@ class TestCrossTable:
                 joint=((0.5, 0.5),),
             )
 
+    def test_replace_checks_joint(self):
+        t = CrossTable(
+            row_marginals=validate([0.5, 0.5], [0.5, 0.5]),
+            col_marginals=validate([0.5, 0.5], [0.5, 0.5]),
+        )
+        assert t._replace(joint=[[0.25, 0.25], [0.25, 0.25]]).joint == (
+            (0.25, 0.25),
+            (0.25, 0.25),
+        )
+        with pytest.raises(FrechetViolation):
+            t._replace(joint=((0.6, 0.0), (0.0, 0.4)))
+
+    def test_make_checks_joint(self):
+        rows = validate([0, 0], [1, 1])
+        with pytest.raises(ValidationError):
+            CrossTable._make([rows, rows, ((0.5, 0.5),)])
+
 
 class TestFrechetSanity:
     def test_point_joints_respect_cell_bounds(self, rng):
