@@ -20,18 +20,24 @@ the same form over the same widths, at the mass sum(po) - t instead of
 t - sum(ne); each mass is summed from the vertex of the box nearer it,
 since the enumeration is pruned at that distance.  F and the conditional
 split on the option whose width the fewest others share, which costs the
-equal-width grouping least.  The rival measures A (anxiety ordering over
+equal-width grouping least.  A large sweep is split once more, on its
+narrowest option z, into G'(c) - G'(c - w_z) over the other options, and
+the helper process (``helper``) sums the second part while this thread
+sums the first; the exact integers are subtracted, so no bit depends on
+where they were summed.  The rival measures A (anxiety ordering over
 sorted possibilities) and I (a Hartley-style bit count) use only the
 possibility vector and are insensitive to distinctions F resolves.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import Counter
 from collections.abc import Sequence
 from typing import NamedTuple
 
+from . import helper
 from .core import TOLERANCE, IntervalAssignment
 from .errors import CapExceeded, DomainError, ValidationError, Violation
 
@@ -41,6 +47,19 @@ from .errors import CapExceeded, DomainError, ValidationError, Violation
 # most 24 options passes it: 23 distinct other widths and 4 cuts keep at
 # most 12,288 subsets at exponent 23.
 _WORK = 12_288 * 24**2
+# Lending part of a sweep to the helper process pays above this much work,
+# in _WORK's unit (see _work).  A helper idle for a millisecond takes about
+# 0.2 ms to wake, so when requests are served one after another, M = 14
+# with distinct widths (75,264) read 0.85 -> 1.00 ms lent, and M = 15
+# (115,200) 1.27 -> 1.23 ms; grouped decimal sweeps stay under 55,000.
+_LEND = 100_000
+# What forking the helper costs, counted in the work that lending saves:
+# about 3.4 ms (the fork and first lend 3.0 ms, pickle's import included,
+# and closing it at exit 0.3 ms), at about 6 ns per unit saved.
+_FORK = 600_000
+# The work this process's sweeps would have saved so far by lending: the
+# closed form forks the helper only once this passes _FORK (ski rental).
+_forgone = 0
 
 
 def _require_measurable(a: IntervalAssignment) -> None:
@@ -82,6 +101,42 @@ def _width_sums(
     return sums
 
 
+@functools.lru_cache(maxsize=4)
+def _halves(widths: tuple[int, ...], cuts: int) -> tuple[list, list]:
+    """The equal-width groups (width, count) of _sweep's two halves for
+    ``cuts`` cuts, each group going to the half with less work so far.
+    Cached, since _split_sweep's estimate and the sweep it runs next take
+    the same halves."""
+    halves: tuple[list, list] = ([], [])
+    sizes = [cuts, 1]  # first-half subsets are swept once per cut
+    for group in Counter(widths).most_common():  # stable: ties keep their order
+        h = sizes[1] < sizes[0]  # the half with less work so far
+        halves[h].append(group)
+        sizes[h] *= group[1] + 1
+    return halves
+
+
+def _work(widths: list[int], cuts: list[int], exponent: int) -> int:
+    """_sweep's work in _WORK's unit, bounded from above: the subsets each
+    half keeps when only the widths of at least the largest cut are pruned
+    (they are, at once), the first half once per cut, times
+    (exponent + 1)^2.  A sweep whose bound is at most _WORK cannot raise
+    CapExceeded.  With four cuts and every width below the largest,
+    distinct widths read 75,264 at M = 14 and 497,664 at M = 18."""
+    top = max(cuts)
+    first, second = (
+        math.prod([c + 1 for w, c in half if w < top])
+        for half in _halves(tuple(widths), len(cuts))
+    )
+    return (first * len(cuts) + second) * (exponent + 1) ** 2
+
+
+@functools.cache
+def _signed_binomials(n: int) -> tuple[int, ...]:
+    """(-1)^j C(n, j) for j = 0..n, each exponent's once per process."""
+    return tuple((-1) ** j * math.comb(n, j) for j in range(n + 1))
+
+
 def _sweep(widths: list[int], cuts: list[int], exponent: int) -> list[int]:
     """For each integer cut c, the exact sum over every subset T of the
     options of (-1)^|T| * max(0, c - W_T)^exponent, where W_T sums the
@@ -104,12 +159,7 @@ def _sweep(widths: list[int], cuts: list[int], exponent: int) -> list[int]:
     limit.
     """
     top = max(cuts)
-    halves: tuple[list, list] = ([], [])
-    sizes = [len(cuts), 1]  # first-half subsets are swept once per cut
-    for group in sorted(Counter(widths).items(), key=lambda g: -g[1]):
-        h = sizes[1] < sizes[0]  # the half with less work so far
-        halves[h].append(group)
-        sizes[h] *= group[1] + 1
+    halves = _halves(tuple(widths), len(cuts))
     room = _WORK // (exponent + 1) ** 2
     second = sorted(_width_sums(halves[1], top, room))
     first = sorted(
@@ -119,7 +169,7 @@ def _sweep(widths: list[int], cuts: list[int], exponent: int) -> list[int]:
         if s < c
     )
 
-    coefs = [(-1) ** j * math.comb(exponent, j) for j in range(exponent + 1)]
+    coefs = _signed_binomials(exponent)
     nu = [0] * (exponent + 1)
     totals = [0] * len(cuts)
     i = 0
@@ -135,6 +185,48 @@ def _sweep(widths: list[int], cuts: list[int], exponent: int) -> list[int]:
             h = h * x + u
         totals[v] += bx * h
     return totals
+
+
+def _less(widths: list[int], cuts: list[int], shift: int, exponent: int) -> list[int]:
+    """_sweep at every cut less ``shift``: the part of a split sweep that
+    the helper process sums (see _split_sweep)."""
+    return _sweep(widths, [c - shift for c in cuts], exponent)
+
+
+def _split_sweep(widths: list[int], cuts: list[int], exponent: int) -> list[int]:
+    """_sweep(widths, cuts, exponent), with part of a large sweep summed in
+    the helper process.
+
+    Splitting every subset on whether it holds option z, the narrowest,
+    gives G(c) = G'(c) - G'(c - w_z), where G' is the same sum over the
+    other widths.  This thread sums G'(c) while the helper sums
+    G'(c - w_z), and the exact integers are subtracted, so no bit depends
+    on the split.  Each part does about 1/sqrt(2) of the whole's work, since
+    a meet in the middle over one option fewer keeps about that share of
+    the subsets.  The helper is lent only when (1) the whole's work passes
+    the break-even _LEND, (2) neither the whole nor either part can pass
+    _WORK, so CapExceeded is raised on exactly the inputs it was, and (3)
+    the helper is running, or forking it costs less than this process's
+    sweeps would already have saved with it (_FORK).
+    """
+    global _forgone
+    work = _work(widths, cuts, exponent)
+    if _LEND < work <= _WORK:
+        z = widths.index(min(widths))
+        rest, shift = widths[:z] + widths[z + 1 :], widths[z]
+        shifted = [c - shift for c in cuts]
+        part = max(_work(rest, cuts, exponent), _work(rest, shifted, exponent))
+        if part <= _WORK:
+            _forgone += work - part
+            lent = helper.lend(
+                _less,
+                (rest, cuts, shift, exponent),
+                lambda: _sweep(rest, cuts, exponent),
+                fork=_forgone > _FORK,
+            )
+            if lent:
+                return [a - b for a, b in zip(*lent)]
+    return _sweep(widths, cuts, exponent)
 
 
 def _volumes(
@@ -162,12 +254,13 @@ def _volumes(
     vertex.  A term inside option k's own bounds (ne_k <= n, p <= po_k), as
     every caller's is, has its cuts within that distance.  Every float is an
     integer over a power of two, so scaling all bounds and terms by one 2^e
-    makes each G exact on Python integers: one sweep (see _sweep) for every
-    distinct cut, each difference divided once, so either vertex gives the
-    same float.  A zero width on any option (k's own p <= n included) or t
-    outside (sum(ne), sum(po)) leaves an empty or measure-zero region, whose
-    exact volume is 0; it is not swept, and a zero width on another option
-    returns before any scaling, since equal floats are equal rationals.
+    makes each G exact on Python integers: one sweep (see _sweep, and
+    _split_sweep for a large one) for every distinct cut, each difference
+    divided once, so either vertex gives the same float.  A zero width on
+    any option (k's own p <= n included) or t outside (sum(ne), sum(po))
+    leaves an empty or measure-zero region, whose exact volume is 0; it is
+    not swept, and a zero width on another option returns before any
+    scaling, since equal floats are equal rationals.
     Total for any bounds.
     """
     m = len(ne)
@@ -193,7 +286,7 @@ def _volumes(
         for t, n, p in zip(ints[2 * m :: 3], ints[2 * m + 1 :: 3], ints[2 * m + 2 :: 3])
     ]
     cuts = sorted({c for pair in splits if pair for c in pair})
-    g = dict(zip(cuts, _sweep(widths, cuts, m - 1))) if cuts else {}
+    g = dict(zip(cuts, _split_sweep(widths, cuts, m - 1))) if cuts else {}
     scale = 1 << (e * (m - 1))
     return [(g[pair[0]] - g[pair[1]]) / scale if pair else 0.0 for pair in splits]
 
@@ -346,9 +439,10 @@ def subset_scan(a: IntervalAssignment) -> SubsetScan:
     conditional mass and are omitted (counted in ``omitted``).  Singletons
     are excluded: a one-option measure is degenerate.  Only complements of
     point-valued options are visited, 2^P of them for P such options, and
-    entries come in increasing order of the kept options' bit mask.  Raises
-    CapExceeded for P > 24, before any entry, and when an entry's closed
-    form passes its work limit.
+    entries come in increasing order of the kept options' bit mask.  An
+    entry that keeps an option with no width (po <= ne) is 0 without a
+    sweep.  Raises CapExceeded for P > 24, before any entry, and when an
+    entry's closed form passes its work limit.
     """
     if a.m < 3:
         raise ValidationError(
@@ -361,6 +455,9 @@ def subset_scan(a: IntervalAssignment) -> SubsetScan:
             f"{p} point-valued options would list 2^{p} subsets; "
             f"the scan lists at most 2^24"
         )
+    # options with no width at all: a kept one makes the entry exactly 0,
+    # as _volumes would find
+    flat = sum(1 << i for i in range(m) if a.po[i] <= a.ne[i])
     entries: list[SubsetEntry] = []
     r = points  # the complement: each nonempty submask of points, decreasing
     while r:
@@ -370,6 +467,8 @@ def subset_scan(a: IntervalAssignment) -> SubsetScan:
             if q <= 1e-12:  # no mass left beyond the complement's rounding
                 value = 0.0
                 q = max(q, 0.0)
+            elif flat & ~r:
+                value = 0.0
             else:
                 ne, po = [a.ne[i] for i in kept], [a.po[i] for i in kept]
                 value = _box_volumes(ne, po, [q])[0]

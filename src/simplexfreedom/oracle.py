@@ -31,9 +31,9 @@ at a time, each coordinate read from the stream seeked to the start of its
 counter run, which is only an order of evaluation: it changes no bit of any
 estimate.  So is the sub-block's size: at most 2^15 rows, and fewer as k
 grows, so that a process's k + 1 rows of it stay in its L2 cache
-(``_rows``).  So is the process: with a second CPU, one helper process,
-forked once, counts the odd sub-blocks of an estimate while the caller
-counts the even ones.  splitmix64 is counter-based, so any split of
+(``_rows``).  So is the process: with a second CPU, the one helper
+process (``helper``) counts the odd sub-blocks of an estimate while the
+caller counts the even ones.  splitmix64 is counter-based, so any split of
 the counter space draws the same words (Steele, Lea & Flood, OOPSLA 2014;
 Salmon et al., SC 2011).  Each process has one sub-block workspace, cut from
 one buffer so that its rows and masks start on 4 KiB pages: k coordinate
@@ -58,23 +58,21 @@ spacings a..z sums to one difference x[z+1] - x[a] of the sorted integers
 x = (0, u_0, ..., u_{k-1}, 2^53), so no spacing is formed on its own.
 
 numpy is imported only inside the functions that build or touch arrays, so
-it loads on the first sampling call (``verify`` and ``crosstab``), and the
-helper is forked after it, so that it inherits numpy.
+it loads on the first sampling call (``verify`` and ``crosstab``).  A helper
+forked by an estimate is forked after it, so that it inherits numpy; one
+that the closed form forked first imports numpy on its first sampling job.
 """
 
 from __future__ import annotations
 
-import atexit
 import bisect
-import contextlib
 import functools
 import math
 import operator
-import os
-import threading
 import warnings
 from typing import TYPE_CHECKING, NamedTuple
 
+from . import helper
 from .core import IntervalAssignment
 from .errors import DomainError, LowAcceptanceWarning, WrongDimension
 from .measures import _conditional_mass
@@ -96,11 +94,6 @@ _CHUNK = 1 << 20
 # The kernel works on the 53-bit integers x = output >> 11 behind the
 # uniforms x * 2^-53; 1.0 is this integer.
 _ONE = 1 << 53
-# Processes that count one estimate's sub-blocks: the caller, and a helper
-# process on Linux where this process may run on a second CPU (macOS makes
-# fork unsafe).  Two threads, which share the interpreter lock, measured
-# slower than two processes (M = 8: 16.8 vs 12.9 ms per 10^6 samples).
-_WORKERS = min(2, len(os.sched_getaffinity(0))) if hasattr(os, "sched_getaffinity") else 1
 # Rows per sub-block at most, in every process, and the rows of
 # ``SplitMix64.uniforms``' one scratch row: 2^16 measured 10-35% slower
 # than 2^15 (M = 8: 49-52 -> 54-69 ms per 10^6 samples).  Only the order of
@@ -270,9 +263,10 @@ def _estimate(
     sum adds and subtracts (``_ends``), summed into the spare row; uint64
     arithmetic wraps modulo 2^64, and every sum ends in [0, 2^53], so the
     order of the terms is free.  Each sub-block holds ``_rows(k)`` rows
-    (the last of a block the rest).  The helper counts the odd sub-blocks
-    (``_shared``) unless there is one worker or one sub-block, or another
-    thread's estimate holds it; then this thread counts them all."""
+    (the last of a block the rest).  The helper process counts the odd
+    sub-blocks (``helper.lend``) unless there is one worker or one
+    sub-block, or another thread holds it; then this thread counts them
+    all."""
     seed = _seed(seed)
     plans = [(*_ends(cells), _cuts(ne, po, scale)) for cells, ne, po in tests]
     sub = _rows(k)
@@ -283,14 +277,16 @@ def _estimate(
         for rows in [min(_CHUNK, samples - done)]
         for start in range(0, rows, sub)
     ]
-    job = (k, seed, plans, subs, min(sub, samples))
-    if _WORKERS > 1 and len(subs) > 1 and _helper_lock.acquire(blocking=False):
-        try:
-            accepted = _shared(*job)
-        finally:
-            _helper_lock.release()
-    else:
-        accepted = _accepted(*job)
+    width = min(sub, samples)
+    counts = None
+    if len(subs) > 1:
+        _constants()  # numpy and the counter offsets, for a helper forked here
+        counts = helper.lend(
+            _accepted,
+            (k, seed, plans, subs[1::2], width),
+            lambda: _accepted(k, seed, plans, subs[::2], width),
+        )
+    accepted = sum(counts) if counts else _accepted(k, seed, plans, subs, width)
     if accepted < MIN_ACCEPTED:
         noisy = f"only {accepted} of {samples} samples accepted; the estimate is noisy"
         warnings.warn(noisy, LowAcceptanceWarning, stacklevel=3)
@@ -353,96 +349,6 @@ def _accepted(k, seed, plans, subs, width) -> int:
             _within(s, cut, okb, hitb, spare)
         accepted += int(np.count_nonzero(okb))
     return accepted
-
-
-# The helper once forked, as (pid, its job pipe's write end, its count
-# pipe's read end), and the lock that lends it to one estimate at a time.
-_helper = None
-_helper_lock = threading.Lock()
-
-
-def _shared(k, seed, plans, subs, width) -> int:
-    """Rows accepted in ``subs``: the helper counts the odd sub-blocks while
-    this thread counts the even ones.  Either side's exception is raised
-    here.  One on this side, or a dead helper, closes the helper, so that
-    no later estimate can read this one's count."""
-    import pickle
-
-    global _helper
-    if _helper is None:
-        _constants()  # numpy and the counter offsets, inherited by the fork
-        (jobs_r, jobs), (counts, counts_w) = os.pipe(), os.pipe()
-        try:
-            pid = os.fork()
-        except OSError:  # EAGAIN or ENOMEM: no helper, and no pipe left open
-            for fd in (jobs_r, jobs, counts, counts_w):
-                os.close(fd)
-            raise
-        if pid == 0:
-            try:
-                os.close(jobs)
-                os.close(counts)
-                _serve(jobs_r, counts_w)
-            finally:
-                os._exit(0)  # never back into the caller's stack
-        os.close(jobs_r)
-        os.close(counts_w)
-        _helper = pid, jobs, open(counts, "rb")
-    pid, jobs, counts = _helper
-    try:
-        _write(jobs, pickle.dumps((k, seed, plans, subs[1::2], width)))
-        accepted = _accepted(k, seed, plans, subs[::2], width)
-        theirs = pickle.load(counts)
-    except BaseException as exc:
-        _close_helper()
-        if isinstance(exc, (BrokenPipeError, EOFError)):
-            raise ChildProcessError(f"sampler helper {pid} has exited") from exc
-        raise
-    if isinstance(theirs, Exception):
-        raise theirs
-    return accepted + theirs
-
-
-def _serve(jobs: int, counts: int) -> None:
-    """The helper's loop: the ``_accepted`` count of each job, or the
-    exception that stopped it, goes back to the caller, until either pipe
-    ends.  SIGINT is the caller's to handle."""
-    import pickle
-    import signal
-
-    signal.signal(signal.SIGINT, signal.SIG_IGN)
-    reader = open(jobs, "rb")
-    while True:
-        job = pickle.load(reader)
-        try:
-            reply = _accepted(*job)
-        except Exception as exc:  # raised again in the caller
-            reply = exc
-        _write(counts, pickle.dumps(reply))
-
-
-def _write(fd: int, data: bytes) -> None:
-    view = memoryview(data)
-    while view:
-        view = view[os.write(fd, view) :]
-
-
-def _close_helper() -> None:
-    """Close the helper's pipes and reap it once it ends its job: at exit,
-    and in a forked child, which closes its copies and cannot reap it (and
-    counts every sub-block itself if its copy of the lock is held)."""
-    global _helper
-    if _helper is not None:
-        (pid, jobs, counts), _helper = _helper, None
-        os.close(jobs)
-        counts.close()
-        with contextlib.suppress(ChildProcessError):
-            os.waitpid(pid, 0)
-
-
-atexit.register(_close_helper)
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_close_helper)
 
 
 def _ends(cells) -> tuple[list[int], list[int]]:

@@ -12,6 +12,7 @@ from simplexfreedom import (
     IntervalAssignment,
     SplitMix64,
     freedom,
+    helper,
     tighten,
     validate,
 )
@@ -104,3 +105,32 @@ def assert_within_4se(closed: float, mean: float, se: float, context: str = ""):
 @pytest.fixture
 def rng():
     return SplitMix64(20260810)
+
+
+@pytest.fixture
+def fresh_helper():
+    """No helper process before the test, so that one forked in it inherits
+    the test's patches, and none after it, so that the next test's helper
+    does not."""
+    helper.close()
+    yield
+    helper.close()
+
+
+def assert_helper_on_and_off(monkeypatch, run, lends: int):
+    """run() gives one result with one worker (the caller alone) and with
+    two (the caller and the helper process), which is returned; with two
+    it lends the helper ``lends`` times, and with one never."""
+    lent = []
+    real = helper.lend
+    monkeypatch.setattr(
+        helper, "lend", lambda *args, **kw: lent.append(real(*args, **kw)) or lent[-1]
+    )
+    results = []
+    for workers in (1, 2):
+        monkeypatch.setattr(helper, "_WORKERS", workers)
+        lent.clear()
+        results.append(run())
+        assert sum(r is not None for r in lent) == lends * (workers - 1), workers
+    assert results[0] == results[1]
+    return results[0]

@@ -666,7 +666,7 @@ class TestCommandLine:
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 # the sampler's lazy imports: numpy, and pickle, which numpy loads too and
-# which carries the helper process's jobs and counts; and the M = 3 region's:
+# which carries the helper process's jobs and replies; and the M = 3 region's:
 # fractions, which loads decimal; and modules no JSON call loads at all:
 # dataclasses (the result records are named tuples) and csv (only
 # --format csv needs it)
@@ -675,12 +675,15 @@ REGION_MODULES = ("fractions", "decimal")
 UNUSED_MODULES = ("dataclasses", "csv")
 LAZY_MODULES = SAMPLER_MODULES + REGION_MODULES + UNUSED_MODULES
 
-# one CLI call in a fresh interpreter; the last stderr line says whether
-# each lazily imported module was loaded by the time the command had run
+# one CLI call in a fresh interpreter; the last two stderr lines say
+# whether the call forked the helper process, and whether each lazily
+# imported module was loaded by the time the command had run
 CHILD = (
     "import sys\n"
+    "from simplexfreedom import helper\n"
     "from simplexfreedom.cli import main\n"
     "code = main(sys.argv[1:])\n"
+    "print(helper._process is not None, file=sys.stderr)\n"
     f"print([m in sys.modules for m in {LAZY_MODULES!r}], file=sys.stderr)\n"
     "sys.exit(code)\n"
 )
@@ -698,9 +701,10 @@ def fresh_interpreter(*args: str) -> subprocess.CompletedProcess:
 
 class TestNumpyFreeStart:
     """The closed-form commands start and run without loading numpy or
-    pickle; the sampling commands load both on their first estimate.  Only
-    ``region`` loads fractions and decimal.  No command with JSON output
-    loads dataclasses or csv."""
+    pickle; the sampling commands load both on their first estimate.  A
+    closed-form call that forks the helper process loads pickle for its
+    pipes, and still not numpy.  Only ``region`` loads fractions and
+    decimal.  No command with JSON output loads dataclasses or csv."""
 
     def test_package_import_leaves_numpy_unloaded(self):
         proc = fresh_interpreter(
@@ -730,6 +734,18 @@ class TestNumpyFreeStart:
         loads = [loads_sampler] * len(SAMPLER_MODULES)
         loads += [argv[0] == "region"] * len(REGION_MODULES)
         loads += [False] * len(UNUSED_MODULES)
-        assert proc.stderr.splitlines()[-1] == str(loads), proc.stderr
+        assert proc.stderr.splitlines()[-2:] == ["False", str(loads)], proc.stderr
+        code = main(argv)
+        assert (proc.returncode, proc.stdout) == (code, capsys.readouterr().out)
+
+    def test_cold_call_that_forks_matches_in_process(self, tmp_path, capsys):
+        # at M = 24 with distinct widths one sweep saves more than forking
+        # the helper costs, so the closed form forks it in its first call
+        a = hard_input(24)
+        doc = {"options": [{"ne": n, "po": p} for n, p in zip(a.ne, a.po)]}
+        argv = ["measure", write(tmp_path, "a.json", doc), "--q", "0.9"]
+        proc = fresh_interpreter("-c", CHILD, *argv)
+        loads = [False, True] + [False] * (len(LAZY_MODULES) - 2)  # pickle only
+        assert proc.stderr.splitlines()[-2:] == ["True", str(loads)], proc.stderr
         code = main(argv)
         assert (proc.returncode, proc.stdout) == (code, capsys.readouterr().out)

@@ -36,9 +36,11 @@ from simplexfreedom import (
     validate,
     yager_ambiguity,
 )
-from simplexfreedom.measures import _scaled, _sweep, _volumes
+from simplexfreedom import helper, measures
+from simplexfreedom.measures import _scaled, _split_sweep, _sweep, _volumes
 
 from conftest import (
+    assert_helper_on_and_off,
     assert_within_4se,
     brute_volume,
     hard_input,
@@ -554,6 +556,122 @@ class TestWorkLimit:
             assert best < 0.05, f"{name}: {best:.3f} s"
 
 
+def split_case(kind: str, m: int):
+    """(ne, po, k, terms) for _volumes at M = m, at most four cuts.
+    ``distinct``: distinct widths, with option k narrowed from either side
+    at mass 1.  ``grouped``: masses 1 and t on a 0.05 grid on which the
+    narrowest width besides option k's is shared, so the split option is
+    taken out of a group.  ``low cuts``: distinct widths at mass 1 and at a
+    mass just above sum(ne), whose cuts lie below the narrowest width, so
+    that they shift to <= 0."""
+    gen = SplitMix64(9300 + m)
+    if kind == "grouped":
+        units = [1, 1] + [2 + int(gen.random() * 4) for _ in range(m - 2)]
+        ne, po, k = [0.0] * m, [0.05 * u for u in units], m - 1
+    else:
+        ne = [0.1 * gen.random() / m for _ in range(m)]
+        po = [n + (1.2 + 1.3 * gen.random()) / m for n in ne]
+        k = int(gen.random() * m)
+    s_ne = math.fsum(ne)
+    if kind == "distinct":  # sensitivity's narrowing
+        cut = ne[k] + (po[k] - ne[k]) * gen.random()
+        return ne, po, k, [(1.0, ne[k], po[k]), (1.0, ne[k], cut), (1.0, cut, po[k])]
+    if kind == "grouped":
+        t = s_ne + (1.0 - s_ne) * gen.random()
+    else:
+        t = s_ne + 0.5 * min(p - n for n, p in zip(ne, po))
+    return ne, po, k, [(1.0, ne[k], po[k]), (t, ne[k], po[k])]
+
+
+def corpus_input(m: int) -> IntervalAssignment:
+    """Distinct widths with sum(ne) = 0.1 and sum(po) = 2, as in the
+    closed-form-distinct benchmark."""
+    gen = SplitMix64(9400 + m)
+    po = [0.6 + 0.8 * gen.random() for _ in range(m)]
+    ne = [p * 0.2 * gen.random() for p in po]
+    return validate([n * 0.1 / math.fsum(ne) for n in ne], [p * 2.0 / math.fsum(po) for p in po])
+
+
+class TestSplitSweep:
+    """Part of a large sweep is summed in the helper process
+    (_split_sweep): no bit, and no CapExceeded, may depend on it."""
+
+    @pytest.fixture
+    def lend_always(self, monkeypatch, fresh_helper):
+        # every sweep lends, and the first one forks the helper
+        monkeypatch.setattr(measures, "_LEND", 0)
+        monkeypatch.setattr(measures, "_FORK", -1)
+
+    @pytest.mark.parametrize("kind", ["distinct", "grouped", "low cuts"])
+    @pytest.mark.parametrize("m", range(13, 25))
+    def test_lent_volumes_equal_one_process_volumes(self, monkeypatch, lend_always, m, kind):
+        ne, po, k, terms = split_case(kind, m)
+        rest = [p - n for i, (n, p) in enumerate(zip(ne, po)) if i != k]
+        if kind == "grouped":  # the narrowest is one of a group
+            assert Counter(rest)[min(rest)] == 2
+        if kind == "low cuts":  # the second mass's cuts are below it
+            assert terms[1][0] - math.fsum(ne) < min(rest)
+        values = assert_helper_on_and_off(
+            monkeypatch, lambda: [v.hex() for v in _volumes(ne, po, k, terms)], 1
+        )
+        assert float.fromhex(values[0]) > 0.0
+
+    def test_split_sweep_equals_sweep(self, monkeypatch, lend_always):
+        # the narrowest width, 3, is one of a group of three, and the cuts
+        # at or below it shift to <= 0
+        widths = [3, 3, 3, 5, 7, 7, 11, 13, 17, 19, 23]
+        cuts = [-4, 0, 2, 3, 30, 60]
+        want = _sweep(widths, cuts, 11)
+        assert want[-1] != 0
+        run = lambda: _split_sweep(widths, cuts, 11)  # noqa: E731
+        assert assert_helper_on_and_off(monkeypatch, run, 1) == want
+
+    def test_hard_inputs_past_the_limit_are_refused_as_before(self, monkeypatch, fresh_helper):
+        # M = 25..40 raise the same CapExceeded while a helper is running,
+        # and lend it nothing
+        monkeypatch.setattr(measures, "_FORK", -1)
+        monkeypatch.setattr(helper, "_WORKERS", 2)
+        assert helper.lend(abs, (-1,), lambda: 0) == (0, 1)
+
+        def run():
+            messages = []
+            for m in range(25, 41):
+                for call in (freedom, lambda a: measure_report(a, 0.99)):
+                    with pytest.raises(CapExceeded) as info:
+                        call(hard_input(m))
+                    messages.append(str(info.value))
+            return messages
+
+        messages = assert_helper_on_and_off(monkeypatch, run, 0)
+        assert helper._process is not None
+        assert all(msg.startswith("the closed form would keep over") for msg in messages)
+
+    def test_lends_past_the_break_even_and_forks_past_the_fork_cost(
+        self, monkeypatch, fresh_helper
+    ):
+        # a fresh process: M = 14 is below the break-even and never lends;
+        # M = 16 is above it, but one such sweep saves less than a fork
+        # costs; one hard M = 24 sweep saves more, and forks the helper,
+        # which the next M = 16 sweep then borrows
+        monkeypatch.setattr(measures, "_forgone", 0)
+        monkeypatch.setattr(helper, "_WORKERS", 2)
+        lent = []
+        real = helper.lend
+        monkeypatch.setattr(
+            helper, "lend", lambda *args, **kw: lent.append(real(*args, **kw)) or lent[-1]
+        )
+        small, large = corpus_input(14), corpus_input(16)
+        steps = [(small, [], False), (large, [False], False),
+                 (hard_input(24), [True], True), (large, [True], True)]
+        reports = []
+        for a, lends, forked in steps:
+            lent.clear()
+            reports.append(measure_report(a, 0.9))
+            assert [r is not None for r in lent] == lends
+            assert (helper._process is not None) == forked
+        assert reports[1] == reports[3]
+
+
 class TestNormedFreedom:
     def test_three_option_square_root(self):
         assert normed_freedom(validate([0, 0, 0], [0.5, 0.5, 0.5])) == 0.5
@@ -844,6 +962,23 @@ class TestSubsetScan:
         assert len(scaled) == 1
         assert len(scan.entries) == 2**12 - 1
         assert [e.indices for e in scan.entries if e.conditional_freedom] == [(0, 1)]
+
+    def test_entries_keeping_a_flat_option_are_not_swept(self, monkeypatch):
+        # of the 2^14 - 1 entries of 2 interval options and 14 exact points,
+        # only the one that keeps no point reaches _box_volumes; the others
+        # are exactly 0, as _volumes would find
+        swept = []
+        real = measures._box_volumes
+        monkeypatch.setattr(
+            measures, "_box_volumes", lambda *args: swept.append(args) or real(*args)
+        )
+        a = validate([0.0, 0.0] + [0.05] * 14, [0.5, 0.5] + [0.05] * 14)
+        scan = subset_scan(a)
+        assert len(scan.entries) == 2**14 - 1
+        assert len(swept) == 1
+        assert [e.indices for e in scan.entries if e.conditional_freedom] == [(0, 1)]
+        head = scan.entries[:50]
+        assert head == tuple(brute_entry(a, list(e.indices)) for e in head)
 
     def test_refuses_25_points_before_listing(self, monkeypatch):
         listed = []

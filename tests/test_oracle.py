@@ -5,6 +5,7 @@ from __future__ import annotations
 import bisect
 import errno
 import functools
+import json
 import math
 import os
 import signal
@@ -36,10 +37,15 @@ from simplexfreedom import (
     validate,
 )
 
-from simplexfreedom import oracle
+from simplexfreedom import helper, oracle
 from simplexfreedom.oracle import _cuts, _network, _within
 
-from conftest import assert_within_4se, derive_worker_seed, random_valid_assignment
+from conftest import (
+    assert_helper_on_and_off,
+    assert_within_4se,
+    derive_worker_seed,
+    random_valid_assignment,
+)
 
 MASK64 = (1 << 64) - 1
 
@@ -618,16 +624,6 @@ def test_estimates_carry_their_accepted_count(kind, size, samples, accepted):
     assert est.mean == accepted / samples * factor
 
 
-@pytest.fixture
-def fresh_helper():
-    """No helper before the test, so that one forked in it inherits the
-    test's patches, and none after it, so that the next test's helper does
-    not."""
-    oracle._close_helper()
-    yield
-    oracle._close_helper()
-
-
 @pytest.mark.parametrize(
     "kind, size, samples, mean, std_error",
     PINNED + SEAMS + SWITCH,
@@ -663,16 +659,14 @@ def _assert_helper_on_and_off(monkeypatch, kind, size, samples, mean, std_error)
     # with two workers the helper counts the odd sub-blocks of any estimate
     # of more than one sub-block of ``_rows(k)`` rows; with one the caller
     # counts them all
-    shared = []
-    real = oracle._shared
-    monkeypatch.setattr(oracle, "_shared", lambda *job: shared.append(job) or real(*job))
-    for workers in (1, 2):
-        monkeypatch.setattr(oracle, "_WORKERS", workers)
+    def run():
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", LowAcceptanceWarning)
             est = _pinned_estimate(kind, size, samples)
-        assert (est.mean.hex(), est.std_error.hex()) == (mean, std_error), workers
-    assert len(shared) == (samples > oracle._rows(_k(kind, size)))
+        return est.mean.hex(), est.std_error.hex()
+
+    lends = samples > oracle._rows(_k(kind, size))
+    assert assert_helper_on_and_off(monkeypatch, run, lends) == (mean, std_error)
 
 
 @pytest.mark.parametrize(
@@ -729,10 +723,10 @@ _SPLIT = ("plain", 3, 1_100_000, "0x1.38f3f8ffe3671p-2", "0x1.cc9105643347bp-12"
 @pytest.mark.parametrize("side", ["helper", "caller", "dead helper"])
 def test_an_error_on_either_side_reaches_the_caller(monkeypatch, fresh_helper, side):
     kind, size, samples, mean, std_error = _SPLIT
-    monkeypatch.setattr(oracle, "_WORKERS", 2)
+    monkeypatch.setattr(helper, "_WORKERS", 2)
     if side == "dead helper":
         _pinned_estimate(kind, size, samples)
-        os.kill(oracle._helper[0], signal.SIGKILL)
+        os.kill(helper._process[0], signal.SIGKILL)
         error, match = ChildProcessError, "has exited"
     else:
         monkeypatch.setattr(oracle, "_within", _failing_within(side))
@@ -741,12 +735,12 @@ def test_an_error_on_either_side_reaches_the_caller(monkeypatch, fresh_helper, s
         _pinned_estimate(kind, size, samples)
     # a helper that raised is still in step; one that died, or was left in
     # the middle of a job, is reaped, and the next estimate forks another
-    pid = oracle._helper and oracle._helper[0]
+    pid = helper._process and helper._process[0]
     assert (pid is not None) == (side == "helper")
     for _ in range(2):
         est = _pinned_estimate(kind, size, samples)
         assert (est.mean.hex(), est.std_error.hex()) == (mean, std_error)
-    assert (oracle._helper[0] == pid) == (side == "helper")
+    assert (helper._process[0] == pid) == (side == "helper")
 
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="reads /proc")
@@ -754,7 +748,7 @@ def test_a_failed_fork_leaves_no_pipe_open(monkeypatch, fresh_helper):
     # a fork that fails (EAGAIN, ENOMEM) reaches the caller, and the two
     # pipes made for the helper are closed; the next fork starts one
     kind, size, samples, mean, std_error = _SPLIT
-    monkeypatch.setattr(oracle, "_WORKERS", 2)
+    monkeypatch.setattr(helper, "_WORKERS", 2)
     fork = os.fork
 
     def no_fork():
@@ -767,10 +761,10 @@ def test_a_failed_fork_leaves_no_pipe_open(monkeypatch, fresh_helper):
             _pinned_estimate(kind, size, samples)
         assert info.value.errno == errno.EAGAIN
     assert len(os.listdir("/proc/self/fd")) == fds
-    assert oracle._helper is None
+    assert helper._process is None
     monkeypatch.setattr(os, "fork", fork)
     est = _pinned_estimate(kind, size, samples)
-    assert oracle._helper is not None
+    assert helper._process is not None
     assert (est.mean.hex(), est.std_error.hex()) == (mean, std_error)
 
 
@@ -778,7 +772,7 @@ def test_concurrent_estimates_are_pinned(monkeypatch):
     # three threads estimate at once on fewer cores, with the interpreter
     # switching threads often: whichever holds the helper shares its
     # sub-blocks with it, and the others count all of theirs themselves
-    monkeypatch.setattr(oracle, "_WORKERS", 2)
+    monkeypatch.setattr(helper, "_WORKERS", 2)
     cases = [c for c in PINNED + SEAMS if c[2] > oracle._SUB]
     got = {}
 
@@ -802,7 +796,7 @@ def test_concurrent_estimates_are_pinned(monkeypatch):
     for t in range(3):
         assert [(e.mean.hex(), e.std_error.hex()) for e in got[t]] == want, t
     # while another estimate holds the helper, this one does not wait for it
-    with oracle._helper_lock:
+    with helper._lock:
         est = _pinned_estimate(*_SPLIT[:3])
     assert (est.mean.hex(), est.std_error.hex()) == _SPLIT[3:]
 
@@ -820,11 +814,11 @@ def test_concurrent_estimates_are_pinned(monkeypatch):
     ],
 )
 def test_one_sub_block_starts_no_helper(monkeypatch, fresh_helper, m, samples, workers, started):
-    monkeypatch.setattr(oracle, "_WORKERS", workers)
+    monkeypatch.setattr(helper, "_WORKERS", workers)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", LowAcceptanceWarning)
         mc_freedom(_pinned_assignment(m), samples, m)
-    assert (oracle._helper is not None) == started
+    assert (helper._process is not None) == started
 
 
 # Runs one estimate that starts the helper and prints the helper's pid, then
@@ -833,12 +827,12 @@ def test_one_sub_block_starts_no_helper(monkeypatch, fresh_helper, m, samples, w
 # helper, and both then wait to be killed.
 HELPER_OWNER = """\
 import os, sys, time
-from simplexfreedom import oracle, mc_freedom, validate
-oracle._WORKERS = 2
+from simplexfreedom import helper, mc_freedom, validate
+helper._WORKERS = 2
 mc_freedom(validate([0, 0, 0], [1, 1, 1]), 100_000, 0)
-print(oracle._helper[0], flush=True)
+print(helper._process[0], flush=True)
 if sys.argv[1] == "fork" and os.fork() == 0:
-    print(os.getpid(), oracle._helper, flush=True)
+    print(os.getpid(), helper._process, flush=True)
     time.sleep(60)
     os._exit(0)
 if sys.argv[1] != "exit":
@@ -878,7 +872,7 @@ def test_the_helper_ends_with_its_owner(end):
     )
     child = None
     try:
-        helper = int(proc.stdout.readline())
+        pid = int(proc.stdout.readline())
         if end == "fork":
             line = proc.stdout.readline().split()
             child = int(line[0])
@@ -886,7 +880,7 @@ def test_the_helper_ends_with_its_owner(end):
         if end != "exit":
             proc.send_signal(signal.SIGKILL)
         assert proc.wait(timeout=30) == (0 if end == "exit" else -signal.SIGKILL)
-        assert _gone_within(helper, 5)
+        assert _gone_within(pid, 5)
         assert child is None or _running(child)
     finally:
         proc.kill()
@@ -895,6 +889,40 @@ def test_the_helper_ends_with_its_owner(end):
             os.kill(child, signal.SIGKILL)
             assert _gone_within(child, 5)
         proc.stdout.close()
+
+
+# Sums one M = 18 measure whose sweep forks the helper before numpy is
+# loaded, then prints whether it did, and the hex values of every PINNED
+# estimate made through that helper, which imports numpy itself.
+CLOSED_FORM_FIRST = """\
+import json, sys
+from simplexfreedom import helper, measure_report, measures, validate
+helper._WORKERS = 2
+measures._FORK = -1  # the first sweep past the break-even forks
+measure_report(validate(*json.loads(sys.argv[1])), 0.9)
+forked = helper._process is not None and "numpy" not in sys.modules
+import test_oracle
+print(json.dumps([forked, [
+    [e.mean.hex(), e.std_error.hex()]
+    for e in (test_oracle._pinned_estimate(*c[:3]) for c in test_oracle.PINNED)
+]]))
+"""
+
+
+def test_a_helper_forked_by_the_closed_form_keeps_every_estimate():
+    gen = SplitMix64(18)
+    po = [0.6 + 0.8 * gen.random() for _ in range(18)]
+    bounds = [[0.1 / 18] * 18, [2.0 * p / math.fsum(po) for p in po]]
+    tests = Path(__file__).resolve().parent
+    proc = subprocess.run(
+        [sys.executable, "-W", "ignore", "-c", CLOSED_FORM_FIRST, json.dumps(bounds)],
+        env=dict(os.environ, PYTHONPATH=f"{tests.parent / 'src'}{os.pathsep}{tests}"),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [True, [list(c[3:]) for c in PINNED]]
 
 
 @pytest.mark.parametrize(
@@ -908,7 +936,7 @@ def test_workspaces_start_on_a_page(monkeypatch, fresh_helper, kind, size, sub):
     # rows and masks start on a 4 KiB page, of 2^15 rows up to k = 5 and
     # 2^14 from k = 6, or of as many as an estimate shorter than that; the
     # helper cuts its own
-    monkeypatch.setattr(oracle, "_WORKERS", 2)
+    monkeypatch.setattr(helper, "_WORKERS", 2)
     seen = []
     workspace = oracle._workspace
     monkeypatch.setattr(oracle, "_workspace", lambda *a: seen.append(workspace(*a)) or seen[-1])
