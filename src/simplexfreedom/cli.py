@@ -23,7 +23,13 @@ import warnings
 from . import crosstab as ct
 from . import measures, oracle, sensitivity
 from .core import IntervalAssignment, classify, tighten, validate
-from .errors import FreedomError, LowAcceptanceWarning, ParseError, TooManyCells
+from .errors import (
+    FreedomError,
+    IndexOutOfRange,
+    LowAcceptanceWarning,
+    ParseError,
+    TooManyCells,
+)
 
 
 def _round12(obj):
@@ -192,13 +198,16 @@ def _cmd_subsets(cfg: argparse.Namespace, a: IntervalAssignment):
 
 def _cmd_sensitivity(cfg: argparse.Namespace, a: IntervalAssignment):
     k = cfg.index - 1  # library indices are 0-based
-    if cfg.eps is not None:
-        rep = sensitivity.imposition_compare(a, k, cfg.eps)
-        mode = "imposition"
-    else:
-        delta = 0.05 if cfg.delta is None else cfg.delta
-        rep = sensitivity.impact_compare(a, k, delta)
-        mode = "perturbation"
+    try:
+        if cfg.eps is not None:
+            rep = sensitivity.imposition_compare(a, k, cfg.eps)
+            mode = "imposition"
+        else:
+            delta = 0.05 if cfg.delta is None else cfg.delta
+            rep = sensitivity.impact_compare(a, k, delta)
+            mode = "perturbation"
+    except IndexOutOfRange:  # in the flag's 1-based numbering
+        raise IndexOutOfRange(f"--index {cfg.index} outside [1, {a.m}]") from None
     return {"mode": mode, **rep._asdict(), "index": rep.index + 1}
 
 

@@ -14,9 +14,10 @@ from __future__ import annotations
 
 import enum
 import math
+import operator
 from typing import NamedTuple
 
-from .errors import ValidationError, Violation
+from .errors import DomainError, ValidationError, Violation
 
 # Absolute tolerance for invariant comparisons.  Inputs are human-entered
 # decimals, not computed quantities; 1e-9 absorbs their rounding.
@@ -110,6 +111,15 @@ def _structural_violations(
     return out
 
 
+def _integer(value, name: str) -> int:
+    """``value`` as an int: Python and numpy integers pass, a float or a
+    string is a DomainError rather than a silent truncation."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise DomainError(f"{name} must be an integer, got {value!r}") from None
+
+
 def default_labels(m: int) -> tuple[str, ...]:
     return tuple(f"opt{i + 1}" for i in range(m))
 
@@ -136,6 +146,8 @@ def validate(
 
     violations = _structural_violations(ne, po, len(labels))
     if not any(v.code == "LengthMismatch" for v in violations):
+        # on no options at all, the set checks name TooFewOptions themselves
+        violations = [v for v in violations if v.code != "TooFewOptions"]
         violations += _set_violations(ne, po)
     if violations:
         raise ValidationError(violations)

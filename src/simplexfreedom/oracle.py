@@ -68,12 +68,11 @@ from __future__ import annotations
 import bisect
 import functools
 import math
-import operator
 import warnings
 from typing import TYPE_CHECKING, NamedTuple
 
 from . import helper
-from .core import IntervalAssignment
+from .core import IntervalAssignment, _integer
 from .errors import DomainError, LowAcceptanceWarning, WrongDimension
 from .measures import _conditional_mass
 
@@ -224,15 +223,6 @@ class MCEstimate(NamedTuple):
     samples: int
     seed: int  # reduced mod 2^64, as the stream uses it
     accepted: int
-
-
-def _integer(value, name: str) -> int:
-    """``value`` as an int: Python and numpy integers pass, a float or a
-    string is a DomainError rather than a silent truncation."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise DomainError(f"{name} must be an integer, got {value!r}") from None
 
 
 def _seed(value) -> int:

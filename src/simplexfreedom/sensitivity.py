@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .core import TOLERANCE, IntervalAssignment, _set_violations
+from .core import TOLERANCE, IntervalAssignment, _integer, _set_violations
 from .errors import (
     DomainError,
     IndexOutOfRange,
@@ -28,7 +28,6 @@ from .errors import (
     ValidationError,
 )
 from .measures import _require_measurable, _volumes
-from .oracle import _integer
 
 PO_DOMINATES = "po_dominates"
 NE_DOMINATES = "ne_dominates"

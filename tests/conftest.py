@@ -3,7 +3,11 @@
 from __future__ import annotations
 
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -17,6 +21,21 @@ from simplexfreedom import (
     validate,
 )
 from simplexfreedom.oracle import _MASK64, mix64
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def fresh_interpreter(*args: str) -> subprocess.CompletedProcess:
+    """Run the interpreter with ``args`` in a new process that imports the
+    package from this checkout's ``src``."""
+    return subprocess.run(
+        [sys.executable, *args],
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+
 
 # Distinct odd increment used only for worker-seed derivation, so derived
 # seeds never collide with counters of the parent stream.

@@ -6,9 +6,6 @@ import argparse
 import csv
 import io
 import json
-import os
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
@@ -23,7 +20,7 @@ from simplexfreedom.cli import (
 )
 from simplexfreedom.errors import ParseError, ValidationError
 
-from conftest import hard_input
+from conftest import fresh_interpreter, hard_input
 
 EX1_CASE1 = {
     "options": [
@@ -203,6 +200,14 @@ class TestCommands:
     def test_sensitivity_requires_index(self, tmp_path, capsys):
         path = write(tmp_path, "a.json", EX1_CASE1)
         assert main(["sensitivity", path]) == 3
+
+    @pytest.mark.parametrize("mode", [[], ["--eps", "0.4"]], ids=["delta", "eps"])
+    def test_sensitivity_index_out_of_range_is_1_based(self, tmp_path, capsys, mode):
+        path = write(tmp_path, "a.json", EX1_CASE1)
+        code, rep = run_json(capsys, ["sensitivity", path, "--index", "3", *mode])
+        assert code == 1
+        assert rep["error"] == {"type": "IndexOutOfRange",
+                                "message": "--index 3 outside [1, 2]"}
 
     def test_sensitivity_rejects_both_modes(self, tmp_path):
         path = write(tmp_path, "a.json", EX1_CASE1)
@@ -663,8 +668,6 @@ class TestCommandLine:
         assert listed == list(COMMANDS)
 
 
-SRC = Path(__file__).resolve().parents[1] / "src"
-
 # the sampler's lazy imports: numpy, and pickle, which numpy loads too and
 # which carries the helper process's jobs and replies; and the M = 3 region's:
 # fractions, which loads decimal; and modules no JSON call loads at all:
@@ -675,28 +678,38 @@ REGION_MODULES = ("fractions", "decimal")
 UNUSED_MODULES = ("dataclasses", "csv")
 LAZY_MODULES = SAMPLER_MODULES + REGION_MODULES + UNUSED_MODULES
 
-# one CLI call in a fresh interpreter; the last two stderr lines say
-# whether the call forked the helper process, and whether each lazily
-# imported module was loaded by the time the command had run
+# the package modules that the closed form never runs: each is registered
+# lazily, so it sits in sys.modules from the package import on, and any
+# attribute read loads it; only a loaded one is a plain ModuleType, so the
+# probe reads the type, not the key
+PACKAGE_MODULES = ("oracle", "crosstab", "sensitivity", "helper")
+PACKAGE_PROBE = (
+    "[type(sys.modules[f'simplexfreedom.{m}']) is types.ModuleType"
+    f" for m in {PACKAGE_MODULES!r}]"
+)
+# the ones each cold call of a command runs: verify runs the helper module
+# too once an estimate has more than one sub-block
+RUNS = {"sensitivity": ("sensitivity",), "region": ("oracle",), "verify": ("oracle",)}
+
+# one CLI call in a fresh interpreter; the last three stderr lines say
+# whether the call forked the helper process, whether each lazily imported
+# module was loaded by the time the command had run, and which of
+# PACKAGE_MODULES it ran (probed before the first line reads the helper)
 CHILD = (
-    "import sys\n"
-    "from simplexfreedom import helper\n"
+    "import sys, types\n"
     "from simplexfreedom.cli import main\n"
     "code = main(sys.argv[1:])\n"
-    "print(helper._process is not None, file=sys.stderr)\n"
-    f"print([m in sys.modules for m in {LAZY_MODULES!r}], file=sys.stderr)\n"
+    f"ran = {PACKAGE_PROBE}\n"
+    f"loaded = [m in sys.modules for m in {LAZY_MODULES!r}]\n"
+    "from simplexfreedom import helper\n"
+    "print(helper._process is not None, loaded, ran, sep='\\n', file=sys.stderr)\n"
     "sys.exit(code)\n"
 )
 
 
-def fresh_interpreter(*args: str) -> subprocess.CompletedProcess:
-    return subprocess.run(
-        [sys.executable, *args],
-        env=dict(os.environ, PYTHONPATH=str(SRC)),
-        capture_output=True,
-        text=True,
-        timeout=60,
-    )
+def runs(*modules: str) -> str:
+    """The PACKAGE_MODULES probe line of a call that ran ``modules``."""
+    return str([m in modules for m in PACKAGE_MODULES])
 
 
 class TestNumpyFreeStart:
@@ -704,16 +717,19 @@ class TestNumpyFreeStart:
     pickle; the sampling commands load both on their first estimate.  A
     closed-form call that forks the helper process loads pickle for its
     pipes, and still not numpy.  Only ``region`` loads fractions and
-    decimal.  No command with JSON output loads dataclasses or csv."""
+    decimal.  No command with JSON output loads dataclasses or csv.  Of
+    the package's lazily loaded modules, each call runs only those its
+    command uses (``RUNS``), and a bare package import runs none."""
 
     def test_package_import_leaves_numpy_unloaded(self):
         proc = fresh_interpreter(
             "-c",
-            "import sys, simplexfreedom\n"
-            f"print([m in sys.modules for m in {LAZY_MODULES!r}])",
+            "import sys, types, simplexfreedom\n"
+            f"print([m in sys.modules for m in {LAZY_MODULES!r}])\n"
+            f"print({PACKAGE_PROBE})",
         )
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout == str([False] * len(LAZY_MODULES)) + "\n"
+        assert proc.stdout == f"{[False] * len(LAZY_MODULES)}\n{runs()}\n"
 
     @pytest.mark.parametrize(
         "argv, loads_sampler",
@@ -734,7 +750,20 @@ class TestNumpyFreeStart:
         loads = [loads_sampler] * len(SAMPLER_MODULES)
         loads += [argv[0] == "region"] * len(REGION_MODULES)
         loads += [False] * len(UNUSED_MODULES)
-        assert proc.stderr.splitlines()[-2:] == ["False", str(loads)], proc.stderr
+        ran = runs(*RUNS.get(argv[0], ()))
+        assert proc.stderr.splitlines()[-3:] == ["False", str(loads), ran], proc.stderr
+        code = main(argv)
+        assert (proc.returncode, proc.stdout) == (code, capsys.readouterr().out)
+
+    def test_cold_verify_of_several_sub_blocks_runs_the_helper_module(
+        self, tmp_path, capsys
+    ):
+        # 10^5 samples at M = 3 fill four sub-blocks, so the estimate offers
+        # the odd ones to the helper (forked only where there are two CPUs)
+        argv = ["verify", write(tmp_path, "a.json", F3_QUARTER), "--samples", "100000"]
+        proc = fresh_interpreter("-c", CHILD, *argv)
+        loads = [True] * len(SAMPLER_MODULES) + [False] * (len(LAZY_MODULES) - 2)
+        assert proc.stderr.splitlines()[-2:] == [str(loads), runs("oracle", "helper")]
         code = main(argv)
         assert (proc.returncode, proc.stdout) == (code, capsys.readouterr().out)
 
@@ -746,6 +775,7 @@ class TestNumpyFreeStart:
         argv = ["measure", write(tmp_path, "a.json", doc), "--q", "0.9"]
         proc = fresh_interpreter("-c", CHILD, *argv)
         loads = [False, True] + [False] * (len(LAZY_MODULES) - 2)  # pickle only
-        assert proc.stderr.splitlines()[-2:] == ["True", str(loads)], proc.stderr
+        lines = ["True", str(loads), runs("helper")]
+        assert proc.stderr.splitlines()[-3:] == lines, proc.stderr
         code = main(argv)
         assert (proc.returncode, proc.stdout) == (code, capsys.readouterr().out)

@@ -67,6 +67,12 @@ class TestValidate:
             validate([0.5], [1.0])
         assert "TooFewOptions" in exc.value.codes
 
+    def test_no_options_names_too_few_once(self):
+        with pytest.raises(ValidationError) as exc:
+            validate([], [])
+        assert exc.value.codes == ("TooFewOptions", "Infeasible")
+        assert "need at least 2 options, got 0" in str(exc.value)
+
     def test_all_violations_collected(self):
         with pytest.raises(ValidationError) as exc:
             validate([0.9, -0.1], [0.5, 1.0])

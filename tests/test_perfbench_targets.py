@@ -13,6 +13,8 @@ from simplexfreedom import (
     validate,
 )
 
+from conftest import fresh_interpreter
+
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
 
@@ -53,3 +55,29 @@ def test_every_counter_reads_its_target_result():
     for name, (result, counts) in expected.items():
         assert counters[name](result) == counts, name
     assert 0 < estimate.accepted < 5000 and 0 < joint.accepted < 5000
+
+
+def test_tracer_installs_after_a_cold_closed_form_call(tmp_path):
+    # a closed-form call leaves oracle, crosstab and sensitivity unloaded;
+    # the tracer finds them in sys.modules all the same and loads them
+    path = tmp_path / "a.json"
+    path.write_text('{"options": [{"ne": 0, "po": 0.5}, {"ne": 0, "po": 0.7}]}')
+    script = (
+        "import contextlib, importlib.util, io, sys, types\n"
+        f"spec = importlib.util.spec_from_file_location('perfbench_tracing', {str(TRACING)!r})\n"
+        "tracing = importlib.util.module_from_spec(spec)\n"
+        "spec.loader.exec_module(tracing)\n"
+        "from simplexfreedom import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    code = cli.main(['measure', {str(path)!r}])\n"
+        "oracle = sys.modules['simplexfreedom.oracle']\n"
+        "unloaded = type(oracle) is not types.ModuleType\n"
+        "tracer = tracing.Tracer()\n"
+        "tracer.install()\n"
+        "wrapped = hasattr(oracle.mc_freedom, '__wrapped__')\n"
+        "tracer.uninstall()\n"
+        "print(code, unloaded, wrapped, hasattr(oracle.mc_freedom, '__wrapped__'))\n"
+    )
+    proc = fresh_interpreter("-c", script)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "0 True True False\n"
