@@ -189,7 +189,9 @@ def _sweep(widths: list[int], cuts: list[int], exponent: int) -> list[int]:
 
 def _less(widths: list[int], cuts: list[int], shift: int, exponent: int) -> list[int]:
     """_sweep at every cut less ``shift``: the part of a split sweep that
-    the helper process sums (see _split_sweep)."""
+    the helper process sums (see _split_sweep).  helper.lend pickles by
+    reference, and a test that swaps _sweep for a local spy must not make
+    lending fail with "Can't pickle local object"."""
     return _sweep(widths, [c - shift for c in cuts], exponent)
 
 

@@ -53,9 +53,10 @@ therefore exactly s * 2^-53 for an integer s in [0, 2^53] (times q for the
 conditional form, rounded once), a nondecreasing function of s, so each
 acceptance test holds exactly on a run lo <= s <= hi of integers.  The
 sampler sorts and sums the integers and compares them with those cuts, found
-once per estimate from the float test as written.  A run of consecutive
-spacings a..z sums to one difference x[z+1] - x[a] of the sorted integers
-x = (0, u_0, ..., u_{k-1}, 2^53), so no spacing is formed on its own.
+once per estimate from the midpoints beside the bounds, reading the float
+test only at a tie (``_cuts``).  A run of consecutive spacings a..z sums to
+one difference x[z+1] - x[a] of the sorted integers x = (0, u_0, ...,
+u_{k-1}, 2^53), so no spacing is formed on its own.
 
 numpy is imported only inside the functions that build or touch arrays, so
 it loads on the first sampling call (``verify`` and ``crosstab``).  A helper
@@ -65,7 +66,6 @@ that the closed form forked first imports numpy on its first sampling job.
 
 from __future__ import annotations
 
-import bisect
 import functools
 import math
 import warnings
@@ -355,33 +355,30 @@ def _ends(cells) -> tuple[list[int], list[int]]:
 
 def _cuts(ne: float, po: float, scale: float = 1.0) -> tuple[int, int]:
     """Integer cuts (lo, hi): an integer s in [0, 2^53] passes the float
-    test ne <= (s * 2^-53) * scale <= po exactly when lo <= s <= hi.
-
-    s * 2^-53 is exact and rounding is monotone, so the tested double is
-    nondecreasing in s and each side of the test holds on a run of s;
-    ``_first`` finds where each run starts, from the guess the real
-    quotient gives.  No s passing gives (1, 0)."""
-    lo = _first(lambda s: s * 2.0**-53 * scale >= ne, ne / scale * 2.0**53)
-    hi = _first(lambda s: not s * 2.0**-53 * scale <= po, po / scale * 2.0**53)
-    return (lo, hi - 1) if lo < hi else (1, 0)
+    test ne <= (s * 2^-53) * scale <= po exactly when lo <= s <= hi, or
+    (1, 0) when none does.  The tested double fails po where it reaches the
+    double above po."""
+    lo = _least(ne, scale)
+    hi = _least(math.nextafter(po, math.inf), scale) - 1
+    return (lo, hi) if lo <= hi else (1, 0)
 
 
-def _first(key, guess: float) -> int:
-    """The least s in [0, 2^53] at which ``key``, false and then true as s
-    grows, holds, or 2^53 + 1 if it holds at none.  The search starts at
-    the guess, clamped to [0, 2^53] (a quotient can be inf) and rounded up,
-    and steps away from it by doubling steps until the boundary lies between
-    a failing and a passing s, which ``bisect`` then finds: the float test
-    stays the definition, and a guess a few ulps off costs a few calls of
-    it.  No s past 2^53 is read."""
-    a = b = math.ceil(min(2.0**53, max(0.0, guess)))
-    step = 1
-    while b <= _ONE and not key(b):  # the answer is past b
-        a, b, step = b + 1, min(b + step, _ONE + 1), 2 * step
-    step = 1
-    while a > 0 and key(a - 1):  # the answer is a - 1 or before
-        b, a, step = a - 1, max(a - 1 - step, 0), 2 * step
-    return bisect.bisect_left(range(_ONE + 1), True, a, b, key=key)
+def _least(x: float, scale: float) -> int:
+    """The least s in [0, 2^53] with s * 2^-53 * scale >= x, or 2^53 + 1.
+    The exact product is rounded once to nearest, so for x > 0 the test
+    holds once it passes the midpoint m below x, or sits on m and the tie
+    goes up (Goldberg, "What every computer scientist should know about
+    floating-point arithmetic", 1991).  The least s reaching m is a ceiling
+    on integer ratios; the float test, read there once, tells the tie."""
+    if x <= 0:
+        return 0
+    (a, b), (c, d) = math.nextafter(x, 0).as_integer_ratio(), x.as_integer_ratio()
+    n, e = scale.as_integer_ratio()
+    # 2m = (a*d + c*b) / (b*d), and s * 2^-53 * scale >= m
+    s = -(-((a * d + c * b) * e << 52) // (b * d * n))
+    if s <= _ONE and not s * 2.0**-53 * scale >= x:  # a tie that rounds down
+        s += 1
+    return min(s, _ONE + 1)
 
 
 def _within(

@@ -238,6 +238,28 @@ class TestIntegerCuts:
                            (math.nextafter(x, 2), 1.0), (0.0, math.nextafter(x, 0))):
                 assert _cuts(ne, po, q) == self.bisected(ne, po, q), (ne, po, q)
 
+    @staticmethod
+    def tie(x, q):
+        """Whether some s in [0, 2^53] puts s * 2^-53 * q exactly on the
+        midpoint between x > 0 and the double below it."""
+        s = (Fraction(math.nextafter(x, 0)) + Fraction(x)) * 2**52 / Fraction(q)
+        return x > 0 and s.denominator == 1 and s <= ONE
+
+    def test_ties_match_bisection(self):
+        # masses with few significand bits put the exact product on a
+        # midpoint between two doubles, where ties to even decide the cut
+        rng = SplitMix64(34)
+        ties = 0
+        for _ in range(400):
+            for q in (0.75, 0.625, 0.9375, 1 - 2.0**-53):
+                x = (rng.next_uint64() >> 11) * 2.0**-53 * q
+                below, above = math.nextafter(x, 0), math.nextafter(x, 2)
+                ties += self.tie(x, q) + self.tie(above, q)
+                for ne, po in ((x, x), (below, above), (x, 1.0), (above, 1.0),
+                               (0.0, x), (0.0, below)):
+                    assert _cuts(ne, po, q) == self.bisected(ne, po, q), (ne, po, q)
+        assert ties > 0
+
 
 def _random_box(rng: SplitMix64, m: int, q: float = 1.0) -> IntervalAssignment:
     """Bounds at mass q that accept a tenth or more of the rows up to M = 8."""
