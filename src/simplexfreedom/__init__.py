@@ -8,30 +8,50 @@ in closed form (``freedom``) and independently by seeded rejection sampling
 (``region_polygon``).
 
 The four modules that the closed form never runs -- ``helper``, ``oracle``,
-``crosstab`` and ``sensitivity`` -- are registered with
-:class:`importlib.util.LazyLoader`: each sits in ``sys.modules`` at once, and
-is compiled and run only when one of its attributes is first read, so a
-``measure`` call compiles five of the nine modules.  That first read takes
-no import lock, so a threaded caller should load the modules its threads
-use (read any attribute of each) before starting them.  Each public name is
-looked up in its home module on first use (``_EXPORTS``).
+``crosstab`` and ``sensitivity`` -- are lazy (``_Lazy``): each sits in
+``sys.modules`` at once, and is compiled and run only when a name it lacks
+is first read, so a ``measure`` call compiles five of the nine modules.
+One lock covers every first load, so threads may share the modules from
+the start.  Each public name is looked up in its home module on first use
+(``_EXPORTS``).
 """
 
+import _thread
 import importlib.util
 import sys
+import types
 
 __version__ = "0.1.0"
 
+# reentrant: loading crosstab reads oracle.MCEstimate
+_loading = _thread.RLock()
+
+
+class _Lazy(types.ModuleType):
+    """A module run, under _loading, on the first read of a name it lacks
+    (not of __spec__, which the import system reads) or its first set, so
+    that a name set before it runs is kept; then a plain module."""
+
+    def __getattr__(self, name: str):
+        with _loading:
+            if type(self) is _Lazy:
+                self.__spec__.loader.exec_module(self)
+                object.__setattr__(self, "__class__", types.ModuleType)
+        return getattr(self, name)
+
+    def __setattr__(self, name: str, value) -> None:
+        self.__getattr__("__name__")  # runs the module first
+        setattr(self, name, value)
+
+
 for _name in ("helper", "oracle", "crosstab", "sensitivity"):
-    _spec = importlib.util.find_spec(f"{__name__}.{_name}")
-    _spec.loader = importlib.util.LazyLoader(_spec.loader)
-    _module = sys.modules[_spec.name] = importlib.util.module_from_spec(_spec)
-    _spec.loader.exec_module(_module)
-    # bound here as well: ``from . import oracle`` finds it on the package,
-    # where an unbound one would go through the import system, whose read of
-    # the module's __spec__ would load it at once
-    globals()[_name] = _module
-del _name, _spec, _module
+    _module = importlib.util.module_from_spec(
+        importlib.util.find_spec(f"{__name__}.{_name}")
+    )
+    _module.__class__ = _Lazy
+    # bound on the package as well, where ``from . import oracle`` finds it
+    globals()[_name] = sys.modules[_module.__name__] = _module
+del _name, _module
 
 # run by every command, and imported after the lazy ones so that measures'
 # own ``from . import helper`` finds the lazy helper

@@ -113,20 +113,13 @@ def _load_json(data: bytes | str):
         ) from exc
 
 
-def _sample(estimator, *args):
-    """Call a sampling estimator; return its estimate and, when it raised a
-    LowAcceptanceWarning, that warning as one line of text (else None).
+def _sample(estimator, *args) -> oracle.MCEstimate:
+    """Call a sampling estimator with its LowAcceptanceWarning silenced: the
+    commands report low acceptance from the estimate's accepted count.
     Other warnings pass through."""
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always", LowAcceptanceWarning)
-        est = estimator(*args)
-    warning = None
-    for w in caught:
-        if issubclass(w.category, LowAcceptanceWarning):
-            warning = f"{w.category.__name__}: {w.message}"
-        else:
-            warnings.showwarning(w.message, w.category, w.filename, w.lineno)
-    return est, warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", LowAcceptanceWarning)
+        return estimator(*args)
 
 
 # ---------------------------------------------------------------------------
@@ -166,9 +159,10 @@ def _cmd_measure(cfg: argparse.Namespace, a: IntervalAssignment):
 
 def _cmd_verify(cfg: argparse.Namespace, a: IntervalAssignment):
     f = measures.freedom(a)
-    est, warning = _sample(oracle.mc_freedom, a, cfg.samples, cfg.seed)
-    if warning is not None:
-        sys.stderr.write(warning + "\n")
+    est = _sample(oracle.mc_freedom, a, cfg.samples, cfg.seed)
+    if est.accepted < oracle.MIN_ACCEPTED:
+        noisy = oracle._NOISY.format(est.accepted, est.samples)
+        sys.stderr.write(f"{LowAcceptanceWarning.__name__}: {noisy}\n")
     diff = abs(f - est.mean)
     within = diff <= 4.0 * est.std_error
     return {
@@ -238,11 +232,11 @@ def _cmd_crosstab(cfg: argparse.Namespace, table: ct.CrossTable):
         "case2_fraction": case2_count / (k * m),
     }
     try:
-        est, warning = _sample(ct.mc_joint_freedom, table, cfg.samples, cfg.seed)
+        est = _sample(ct.mc_joint_freedom, table, cfg.samples, cfg.seed)
         results["joint_freedom"] = {
             "mean": est.mean,
             "std_error": est.std_error,
-            "low_acceptance": warning is not None,
+            "low_acceptance": est.accepted < oracle.MIN_ACCEPTED,
         }
     except TooManyCells as exc:
         results["joint_freedom"] = None

@@ -1,13 +1,13 @@
 """One helper process, forked once per process and lent to one caller at a
-time: it runs one function call sent over a pipe while the caller runs its
-own part of the same job, and sends the result back.
+time: it runs one function on one part of a job while the caller runs it
+on the other part, and sends its result back over a pipe.
 
-Two routes lend it, and each splits its job so that the two results combine
-exactly into the one-process result.  The sampler (``oracle._estimate``)
-counts the odd sub-blocks of an estimate in the helper and adds the integer
-counts.  The closed form (``measures._volumes``) sums one half of a large
-inclusion-exclusion sweep there and subtracts the exact integers.  So no
-bit depends on whether, or where, the helper ran.
+Two routes lend it, each with one function that combines exactly into the
+one-process result.  The sampler (``oracle._accepted``) counts the even
+sub-blocks of an estimate here and the odd ones there, and adds the
+integer counts.  The closed form (``measures._less``) sums the two parts
+of a large inclusion-exclusion sweep, and subtracts the exact integers.
+So no bit depends on whether, or where, the helper ran.
 
 A forked helper has the modules its caller had: one forked by the sampler
 has numpy, and one forked by the closed form imports numpy on its first
@@ -33,43 +33,40 @@ _process = None
 _lock = threading.Lock()
 
 
-def lend(fn, args: tuple, mine, fork: bool = True):
-    """(mine(), fn(*args)), with fn(*args) run in the helper while this
-    thread runs mine(); or None, with neither run, when there is no helper
-    to lend: one worker, another thread holding it, or none forked yet and
-    ``fork`` false.  fn pickles by reference, so it must be a module-level
-    function.  Either side's exception is raised here.  One on this side, or
-    a dead helper, closes the helper, so that no later lend can read this
-    one's reply; a failed fork reaches the caller."""
+def lend(fn, mine: tuple, theirs: tuple, fork: bool = True):
+    """(fn(*mine), fn(*theirs)), with fn(*theirs) run in the helper while
+    this thread runs fn(*mine); or None, with neither run, when there is no
+    helper to lend: one worker, another thread holding it, or none forked
+    yet and ``fork`` false.  fn pickles by reference, so it must be a
+    module-level function.  Either side's exception is raised here.  One on
+    this side, or a dead helper, closes the helper, so that no later lend
+    can read this one's reply; a failed fork reaches the caller."""
+    global _process
     if _WORKERS < 2 or (_process is None and not fork):
         return None
     if not _lock.acquire(blocking=False):
         return None
     try:
-        return _lent(fn, args, mine)
+        import pickle
+
+        if _process is None:
+            _process = _fork()
+        pid, jobs, replies = _process
+        try:
+            _write(jobs, pickle.dumps((fn, theirs)))
+            ours = fn(*mine)
+            # a reader per reply: a child forked meanwhile inherits no lock
+            reply = pickle.load(open(replies, "rb", closefd=False))
+        except BaseException as exc:
+            close()
+            if isinstance(exc, (BrokenPipeError, EOFError)):
+                raise ChildProcessError(f"helper process {pid} has exited") from exc
+            raise
     finally:
         _lock.release()
-
-
-def _lent(fn, args: tuple, mine):
-    import pickle
-
-    global _process
-    if _process is None:
-        _process = _fork()
-    pid, jobs, replies = _process
-    try:
-        _write(jobs, pickle.dumps((fn, args)))
-        ours = mine()
-        theirs = pickle.load(replies)
-    except BaseException as exc:
-        close()
-        if isinstance(exc, (BrokenPipeError, EOFError)):
-            raise ChildProcessError(f"helper process {pid} has exited") from exc
-        raise
-    if isinstance(theirs, Exception):
-        raise theirs
-    return ours, theirs
+    if isinstance(reply, Exception):
+        raise reply
+    return ours, reply
 
 
 def _fork() -> tuple:
@@ -89,7 +86,7 @@ def _fork() -> tuple:
             os._exit(0)  # never back into the caller's stack
     os.close(jobs_r)
     os.close(replies_w)
-    return pid, jobs, open(replies, "rb")
+    return pid, jobs, replies
 
 
 def _serve(jobs: int, replies: int) -> None:
@@ -111,6 +108,7 @@ def _serve(jobs: int, replies: int) -> None:
 
 
 def _write(fd: int, data: bytes) -> None:
+    # unbuffered: a forked child inherits no writer's lock or half a job
     view = memoryview(data)
     while view:
         view = view[os.write(fd, view) :]
@@ -124,7 +122,7 @@ def close() -> None:
     if _process is not None:
         (pid, jobs, replies), _process = _process, None
         os.close(jobs)
-        replies.close()
+        os.close(replies)
         with contextlib.suppress(ChildProcessError):
             os.waitpid(pid, 0)
 

@@ -188,10 +188,10 @@ def _sweep(widths: list[int], cuts: list[int], exponent: int) -> list[int]:
 
 
 def _less(widths: list[int], cuts: list[int], shift: int, exponent: int) -> list[int]:
-    """_sweep at every cut less ``shift``: the part of a split sweep that
-    the helper process sums (see _split_sweep).  helper.lend pickles by
-    reference, and a test that swaps _sweep for a local spy must not make
-    lending fail with "Can't pickle local object"."""
+    """_sweep at every cut less ``shift``: a split sweep's part, run with
+    shift 0 in this process and w_z in the helper (see _split_sweep).
+    helper.lend pickles it by reference, so a test that swaps _sweep for a
+    local spy cannot make lending fail with "Can't pickle local object"."""
     return _sweep(widths, [c - shift for c in cuts], exponent)
 
 
@@ -209,21 +209,21 @@ def _split_sweep(widths: list[int], cuts: list[int], exponent: int) -> list[int]
     the break-even _LEND, (2) neither the whole nor either part can pass
     _WORK, so CapExceeded is raised on exactly the inputs it was, and (3)
     the helper is running, or forking it costs less than this process's
-    sweeps would already have saved with it (_FORK).
+    sweeps would already have saved with it (_FORK).  The parts share one
+    bound: the shifted cuts' lower top keeps a subset of the same _halves.
     """
     global _forgone
     work = _work(widths, cuts, exponent)
     if _LEND < work <= _WORK:
         z = widths.index(min(widths))
-        rest, shift = widths[:z] + widths[z + 1 :], widths[z]
-        shifted = [c - shift for c in cuts]
-        part = max(_work(rest, cuts, exponent), _work(rest, shifted, exponent))
+        rest = widths[:z] + widths[z + 1 :]
+        part = _work(rest, cuts, exponent)
         if part <= _WORK:
             _forgone += work - part
             lent = helper.lend(
                 _less,
-                (rest, cuts, shift, exponent),
-                lambda: _sweep(rest, cuts, exponent),
+                (rest, cuts, 0, exponent),
+                (rest, cuts, widths[z], exponent),
                 fork=_forgone > _FORK,
             )
             if lent:

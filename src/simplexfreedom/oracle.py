@@ -111,8 +111,9 @@ _L2 = 3 << 19
 # 12.6 ms, M = 9 23.2 vs 22.1 ms).
 _PAGE = 1 << 12
 # An estimate from fewer accepted rows than this is noisy: the estimators
-# warn, verify prints the warning and crosstab reports it as low_acceptance.
+# warn with _NOISY, which verify prints, and crosstab reports low_acceptance.
 MIN_ACCEPTED = 100
+_NOISY = "only {} of {} samples accepted; the estimate is noisy"
 
 
 @functools.cache
@@ -273,13 +274,12 @@ def _estimate(
         _constants()  # numpy and the counter offsets, for a helper forked here
         counts = helper.lend(
             _accepted,
+            (k, seed, plans, subs[::2], width),
             (k, seed, plans, subs[1::2], width),
-            lambda: _accepted(k, seed, plans, subs[::2], width),
         )
     accepted = sum(counts) if counts else _accepted(k, seed, plans, subs, width)
     if accepted < MIN_ACCEPTED:
-        noisy = f"only {accepted} of {samples} samples accepted; the estimate is noisy"
-        warnings.warn(noisy, LowAcceptanceWarning, stacklevel=3)
+        warnings.warn(_NOISY.format(accepted, samples), LowAcceptanceWarning, stacklevel=3)
     factor = math.prod([scale] * k, start=1.0)
     frac = accepted / samples
     se = factor * math.sqrt(frac * (1.0 - frac) / samples)

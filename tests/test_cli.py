@@ -6,6 +6,7 @@ import argparse
 import csv
 import io
 import json
+import warnings
 from pathlib import Path
 
 import pytest
@@ -18,7 +19,7 @@ from simplexfreedom.cli import (
     parse_assignment,
     parse_crosstable,
 )
-from simplexfreedom.errors import ParseError, ValidationError
+from simplexfreedom.errors import LowAcceptanceWarning, ParseError, ValidationError
 
 from conftest import fresh_interpreter, hard_input
 
@@ -147,6 +148,22 @@ class TestCommands:
                 "LowAcceptanceWarning: only 0 of 20000 samples accepted; "
                 "the estimate is noisy\n"
             )
+
+    def test_verify_passes_other_warnings_on(self, tmp_path, capsys, monkeypatch):
+        # the command silences only low acceptance, which it reports itself
+        noisy = "only 0 of 100 samples accepted; the estimate is noisy"
+
+        def warns(a, samples, seed):
+            warnings.warn(noisy, LowAcceptanceWarning)
+            warnings.warn("other", RuntimeWarning)
+            return oracle.MCEstimate(0.25, 0.01, samples, seed, 0)
+
+        monkeypatch.setattr(oracle, "mc_freedom", warns)
+        path = write(tmp_path, "a.json", F3_QUARTER)
+        with pytest.warns(RuntimeWarning, match="other") as record:
+            assert main(["verify", path, "--samples", "100"]) == 0
+        assert [w.category for w in record] == [RuntimeWarning]
+        assert capsys.readouterr().err == f"LowAcceptanceWarning: {noisy}\n"
 
     def test_subsets(self, tmp_path, capsys):
         doc = {
@@ -777,5 +794,28 @@ class TestNumpyFreeStart:
         loads = [False, True] + [False] * (len(LAZY_MODULES) - 2)  # pickle only
         lines = ["True", str(loads), runs("helper")]
         assert proc.stderr.splitlines()[-3:] == lines, proc.stderr
+        code = main(argv)
+        assert (proc.returncode, proc.stdout) == (code, capsys.readouterr().out)
+
+    def test_cold_call_that_declines_to_fork_loads_no_pickle(self, tmp_path, capsys):
+        # at M = 16 with distinct widths the one sweep passes the break-even
+        # and offers the helper a part, but saves less than a fork costs: on
+        # two workers the lend declines before it imports pickle
+        a = hard_input(16)
+        doc = {"options": [{"ne": n, "po": p} for n, p in zip(a.ne, a.po)]}
+        argv = ["measure", write(tmp_path, "a.json", doc), "--q", "0.9"]
+        child = (
+            "import sys\n"
+            "from simplexfreedom import helper\n"
+            "from simplexfreedom.cli import main\n"
+            "helper._WORKERS = 2\n"
+            "lend, lent = helper.lend, []\n"
+            "helper.lend = lambda *args, **kw: lent.append(lend(*args, **kw)) or lent[-1]\n"
+            "code = main(sys.argv[1:])\n"
+            "print(lent, helper._process, 'pickle' in sys.modules, file=sys.stderr)\n"
+            "sys.exit(code)\n"
+        )
+        proc = fresh_interpreter("-c", child, *argv)
+        assert proc.stderr.splitlines()[-1] == "[None] None False", proc.stderr
         code = main(argv)
         assert (proc.returncode, proc.stdout) == (code, capsys.readouterr().out)

@@ -37,7 +37,7 @@ from simplexfreedom import (
     yager_ambiguity,
 )
 from simplexfreedom import helper, measures
-from simplexfreedom.measures import _scaled, _split_sweep, _sweep, _volumes
+from simplexfreedom.measures import _scaled, _split_sweep, _sweep, _volumes, _work
 
 from conftest import (
     assert_helper_on_and_off,
@@ -623,6 +623,9 @@ class TestSplitSweep:
         cuts = [-4, 0, 2, 3, 30, 60]
         want = _sweep(widths, cuts, 11)
         assert want[-1] != 0
+        # the helper's part, at the shifted cuts, is bounded by this part's
+        rest = widths[1:]
+        assert _work(rest, [c - 3 for c in cuts], 11) <= _work(rest, cuts, 11)
         run = lambda: _split_sweep(widths, cuts, 11)  # noqa: E731
         assert assert_helper_on_and_off(monkeypatch, run, 1) == want
 
@@ -631,7 +634,7 @@ class TestSplitSweep:
         # and lend it nothing
         monkeypatch.setattr(measures, "_FORK", -1)
         monkeypatch.setattr(helper, "_WORKERS", 2)
-        assert helper.lend(abs, (-1,), lambda: 0) == (0, 1)
+        assert helper.lend(abs, (0,), (-1,)) == (0, 1)
 
         def run():
             messages = []

@@ -56,3 +56,42 @@ def test_unknown_name_raises_attribute_error():
         simplexfreedom.nope
     with pytest.raises(ImportError):
         from simplexfreedom import nope
+
+
+# Four threads read names of two lazy modules right after the package
+# import, with the interpreter switching threads as often as it can; each
+# module's first load runs under one lock, so a name it has not defined yet
+# waits for the whole module.
+LAZY_RACE = """\
+import sys, threading
+sys.setswitchinterval(1e-6)
+import simplexfreedom
+errors = []
+
+def read():
+    try:
+        simplexfreedom.oracle.mc_freedom, simplexfreedom.crosstab.mc_joint_freedom
+    except AttributeError as exc:
+        errors.append(exc)
+
+threads = [threading.Thread(target=read) for _ in range(4)]
+for t in threads:
+    t.start()
+for t in threads:
+    t.join(timeout=30)
+print(sum(t.is_alive() for t in threads), errors)
+"""
+
+
+@pytest.mark.parametrize("run", range(3))
+def test_threads_share_the_lazy_modules_from_the_start(run):
+    assert fresh(LAZY_RACE) == ["0 []"]
+
+
+def test_a_name_set_on_a_lazy_module_before_it_runs_is_kept():
+    lines = fresh(
+        "import types, simplexfreedom as sf\n"
+        "sf.helper._WORKERS = 5\n"
+        "print(sf.helper._WORKERS, type(sf.helper) is types.ModuleType)\n"
+    )
+    assert lines == ["5 True"]
