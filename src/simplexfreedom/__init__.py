@@ -7,13 +7,13 @@ in closed form (``freedom``) and independently by seeded rejection sampling
 (``mc_freedom``) and, for M = 3, by exact polygon clipping
 (``region_polygon``).
 
-The four modules that the closed form never runs -- ``helper``, ``oracle``,
-``crosstab`` and ``sensitivity`` -- are lazy (``_Lazy``): each sits in
-``sys.modules`` at once, and is compiled and run only when a name it lacks
-is first read, so a ``measure`` call compiles five of the nine modules.
-One lock covers every first load, so threads may share the modules from
-the start.  Each public name is looked up in its home module on first use
-(``_EXPORTS``).
+Every submodule but ``cli`` is loaded by one rule: it is lazy (``_Lazy``),
+sits in ``sys.modules`` from the package import on, and is compiled and run
+only when a name it lacks is first read.  So a bare import runs none of
+them, and a ``validate`` call compiles four of the nine modules
+(``__init__``, ``cli``, ``core``, ``errors``).  One lock covers every first
+load, so threads may share the modules from the start.  Each public name is
+looked up in its home module on first use (``_EXPORTS``).
 """
 
 import _thread
@@ -23,7 +23,7 @@ import types
 
 __version__ = "0.1.0"
 
-# reentrant: loading crosstab reads oracle.MCEstimate
+# reentrant: a module's first load runs the first loads of those it imports
 _loading = _thread.RLock()
 
 
@@ -43,19 +43,6 @@ class _Lazy(types.ModuleType):
         self.__getattr__("__name__")  # runs the module first
         setattr(self, name, value)
 
-
-for _name in ("helper", "oracle", "crosstab", "sensitivity"):
-    _module = importlib.util.module_from_spec(
-        importlib.util.find_spec(f"{__name__}.{_name}")
-    )
-    _module.__class__ = _Lazy
-    # bound on the package as well, where ``from . import oracle`` finds it
-    globals()[_name] = sys.modules[_module.__name__] = _module
-del _name, _module
-
-# run by every command, and imported after the lazy ones so that measures'
-# own ``from . import helper`` finds the lazy helper
-from . import core, errors, measures
 
 # public name -> home module, each name listed once
 _EXPORTS = {
@@ -80,6 +67,16 @@ _EXPORTS = {
     }.items()
     for name in names.split()
 }
+
+for _name in sorted({"helper", *_EXPORTS.values()}):
+    _module = importlib.util.module_from_spec(
+        importlib.util.find_spec(f"{__name__}.{_name}")
+    )
+    _module.__class__ = _Lazy
+    # bound on the package as well, where ``from . import oracle`` finds it;
+    # not cli, which runpy warns about if ``python -m`` finds it in sys.modules
+    globals()[_name] = sys.modules[_module.__name__] = _module
+del _name, _module
 
 __all__ = sorted(_EXPORTS)
 

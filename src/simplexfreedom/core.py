@@ -120,6 +120,13 @@ def _integer(value, name: str) -> int:
         raise DomainError(f"{name} must be an integer, got {value!r}") from None
 
 
+def _conditional_mass(q: float) -> float:
+    q = float(q)
+    if not (0.0 < q <= 1.0):
+        raise DomainError(f"q = {q!r} outside (0, 1]")
+    return q
+
+
 def default_labels(m: int) -> tuple[str, ...]:
     return tuple(f"opt{i + 1}" for i in range(m))
 

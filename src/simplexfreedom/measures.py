@@ -38,8 +38,8 @@ from collections.abc import Sequence
 from typing import NamedTuple
 
 from . import helper
-from .core import TOLERANCE, IntervalAssignment
-from .errors import CapExceeded, DomainError, ValidationError, Violation
+from .core import TOLERANCE, IntervalAssignment, _conditional_mass
+from .errors import CapExceeded, ValidationError, Violation
 
 # The closed form's work limit: the subsets _sweep keeps (the first half
 # once per cut, plus the second half) times (exponent + 1)^2, for the
@@ -305,13 +305,6 @@ def _box_volumes(
     shared = Counter(widths)
     k = min(range(len(widths)), key=lambda i: shared[widths[i]])
     return _volumes(ne, po, k, [(t, ne[k], po[k]) for t in masses])
-
-
-def _conditional_mass(q: float) -> float:
-    q = float(q)
-    if not (0.0 < q <= 1.0):
-        raise DomainError(f"q = {q!r} outside (0, 1]")
-    return q
 
 
 def freedom(a: IntervalAssignment) -> float:

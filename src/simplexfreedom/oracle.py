@@ -72,9 +72,8 @@ import warnings
 from typing import TYPE_CHECKING, NamedTuple
 
 from . import helper
-from .core import IntervalAssignment, _integer
+from .core import IntervalAssignment, _conditional_mass, _integer
 from .errors import DomainError, LowAcceptanceWarning, WrongDimension
-from .measures import _conditional_mass
 
 if TYPE_CHECKING:
     from numbers import Rational

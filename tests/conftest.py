@@ -37,6 +37,15 @@ def fresh_interpreter(*args: str) -> subprocess.CompletedProcess:
     )
 
 
+# every package module but cli and __init__, each registered lazily by the
+# package import; RAN_PROBE lists those of them that have run, in this order
+SUBMODULES = ("core", "errors", "measures", "oracle", "crosstab", "sensitivity", "helper")
+RAN_PROBE = (
+    f"[m for m in {SUBMODULES!r}"
+    " if type(sys.modules[f'simplexfreedom.{m}']) is types.ModuleType]"
+)
+
+
 # Distinct odd increment used only for worker-seed derivation, so derived
 # seeds never collide with counters of the parent stream.
 _DERIVE = 0xD1B54A32D192ED03

@@ -21,7 +21,7 @@ from simplexfreedom.cli import (
 )
 from simplexfreedom.errors import LowAcceptanceWarning, ParseError, ValidationError
 
-from conftest import fresh_interpreter, hard_input
+from conftest import RAN_PROBE, SUBMODULES, fresh_interpreter, hard_input
 
 EX1_CASE1 = {
     "options": [
@@ -819,3 +819,51 @@ class TestNumpyFreeStart:
         assert proc.stderr.splitlines()[-1] == "[None] None False", proc.stderr
         code = main(argv)
         assert (proc.returncode, proc.stdout) == (code, capsys.readouterr().out)
+
+
+class TestLoadingRule:
+    """Each cold call compiles only the package modules its command reads:
+    the closed form (``measures``) only for the commands that evaluate it.
+    The module entry point runs ``cli`` as ``__main__``, so the package
+    must not register ``cli`` itself, or runpy warns."""
+
+    # with the submodules each call runs beyond core and errors; at these
+    # sizes no sweep lends and no estimate has a second sub-block, so none
+    # runs the helper module
+    @pytest.mark.parametrize(
+        "argv, runs",
+        [
+            pytest.param(argv, runs, id=argv[0])
+            for argv, runs in [
+                (["validate"], ()),
+                (["region"], ("oracle",)),
+                (["crosstab", "--samples", "1000"], ("oracle", "crosstab")),
+                (["measure", "--q", "0.9"], ("measures",)),
+                (["subsets"], ("measures",)),
+                (["sensitivity", "--index", "1"], ("measures", "sensitivity")),
+                (["verify", "--samples", "1000"], ("measures", "oracle")),
+            ]
+        ],
+    )
+    def test_cold_call_runs_only_the_modules_its_command_reads(
+        self, tmp_path, argv, runs
+    ):
+        doc = VACUOUS_2X2 if argv[0] == "crosstab" else F3_QUARTER
+        argv = [argv[0], write(tmp_path, "a.json", doc), *argv[1:]]
+        child = (
+            "import sys, types\n"
+            "from simplexfreedom.cli import main\n"
+            "code = main(sys.argv[1:])\n"
+            f"print({RAN_PROBE}, file=sys.stderr)\n"
+            "sys.exit(code)\n"
+        )
+        proc = fresh_interpreter("-c", child, *argv)
+        ran = [m for m in SUBMODULES if m in {"core", "errors", *runs}]
+        assert (proc.returncode, proc.stderr.splitlines()[-1:]) == (0, [str(ran)])
+
+    def test_module_entry_point_matches_in_process(self, tmp_path, capsys):
+        argv = ["validate", write(tmp_path, "a.json", F3_QUARTER)]
+        proc = fresh_interpreter("-W", "error", "-m", "simplexfreedom.cli", *argv)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert main(argv) == 0
+        assert proc.stdout == capsys.readouterr().out

@@ -6,7 +6,7 @@ import pytest
 
 import simplexfreedom
 
-from conftest import fresh_interpreter
+from conftest import RAN_PROBE, SUBMODULES, fresh_interpreter
 
 
 def fresh(script: str) -> list[str]:
@@ -95,3 +95,21 @@ def test_a_name_set_on_a_lazy_module_before_it_runs_is_kept():
         "print(sf.helper._WORKERS, type(sf.helper) is types.ModuleType)\n"
     )
     assert lines == ["5 True"]
+
+
+def test_a_bare_import_runs_no_submodule():
+    lines = fresh(
+        "import sys, types, simplexfreedom\n"
+        f"print({RAN_PROBE},"
+        f" [f'simplexfreedom.{{m}}' in sys.modules for m in {SUBMODULES!r}])\n"
+    )
+    assert lines == [f"[] {[True] * len(SUBMODULES)}"]
+
+
+def test_importing_a_closed_form_name_runs_only_its_home_and_what_it_imports():
+    lines = fresh(
+        "import sys, types\n"
+        "from simplexfreedom import freedom\n"
+        f"print({RAN_PROBE})\n"
+    )
+    assert lines == [str(["core", "errors", "measures"])]
