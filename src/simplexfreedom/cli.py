@@ -111,6 +111,8 @@ def _load_json(data: bytes | str):
         raise ParseError(
             f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
+    except RecursionError:
+        raise ParseError("JSON nests arrays or objects too deeply to read") from None
 
 
 def _sample(estimator, *args) -> oracle.MCEstimate:

@@ -42,31 +42,31 @@ class IntervalAssignment(_AssignmentFields):
     """Immutable necessity/possibility bounds over a set of named options.
 
     Construction checks only per-option structure (matching lengths, values
-    in [0,1], ne_i <= po_i); values within TOLERANCE of those constraints are
-    snapped onto them.  ``_make`` and ``_replace`` build through the same
-    checks.  Use :func:`validate` for the full feasibility contract
-    (at least two options, sum(ne) <= 1 <= sum(po)).  Inside the package
-    only :func:`validate` and :func:`tighten` construct one; the relaxed
-    constructor serves callers whose bounds do not fit that contract: the
-    sub-assignment passed to ``freedom_conditional`` or
-    ``mc_freedom_conditional`` (sum(po) may be below 1) and a one-option
-    cross-table margin.
+    in [0,1], ne_i <= po_i) and snaps values within TOLERANCE of those
+    constraints onto them.  It builds through one checked path, which
+    :func:`validate` takes too with the full feasibility contract added (at
+    least two options, sum(ne) <= 1 <= sum(po)); so do ``_make``,
+    ``_replace`` and :func:`tighten`.  The relaxed constructor serves bounds
+    that do not fit that contract: the sub-assignment passed to
+    ``freedom_conditional`` or ``mc_freedom_conditional`` (sum(po) may be
+    below 1) and a one-option cross-table margin.
     """
 
     __slots__ = ()
 
     def __new__(cls, options, ne, po) -> IntervalAssignment:
         options = tuple(str(x) for x in options)
-        ne = [float(x) for x in ne]
-        po = [float(x) for x in po]
-        violations = _structural_violations(ne, po, len(options))
+        return cls._checked(options, [float(x) for x in ne], [float(x) for x in po])
+
+    @classmethod
+    def _checked(cls, options, ne, po, whole=False) -> IntervalAssignment:
+        """Raise every violation of the converted bounds (with ``whole``, the
+        set checks' too), else snap po onto [0, 1], ne onto [0, po] and build."""
+        violations = _structural_violations(ne, po, len(options), whole)
         if violations:
             raise ValidationError(violations)
-        for i in range(len(ne)):
-            ne[i] = min(max(ne[i], 0.0), 1.0)
-            po[i] = min(max(po[i], 0.0), 1.0)
-            if ne[i] > po[i]:  # within tolerance by the checks above
-                ne[i] = po[i]
+        po = [min(max(v, 0.0), 1.0) for v in po]
+        ne = [min(max(v, 0.0), p) for v, p in zip(ne, po)]
         return super().__new__(cls, options, tuple(ne), tuple(po))
 
     @classmethod
@@ -84,20 +84,14 @@ class IntervalAssignment(_AssignmentFields):
 
 
 def _structural_violations(
-    ne: list[float], po: list[float], n_labels: int
+    ne: list[float], po: list[float], n_labels: int, whole: bool = False
 ) -> list[Violation]:
-    out: list[Violation] = []
     if not (len(ne) == len(po) == n_labels):
-        out.append(
-            Violation(
-                "LengthMismatch",
-                f"got {n_labels} labels, {len(ne)} ne values, {len(po)} po values",
-            )
-        )
-        return out
-    if len(ne) < 1:
-        out.append(Violation("TooFewOptions", "at least one option required"))
-        return out
+        shape = f"{n_labels} labels, {len(ne)} ne values, {len(po)} po values"
+        return [Violation("LengthMismatch", f"got {shape}")]
+    if not ne and not whole:  # with whole, _set_violations names this case
+        return [Violation("TooFewOptions", "at least one option required")]
+    out: list[Violation] = []
     for i, (lo, hi) in enumerate(zip(ne, po)):
         for name, v in (("ne", lo), ("po", hi)):
             if not math.isfinite(v) or v < -TOLERANCE or v > 1.0 + TOLERANCE:
@@ -108,6 +102,8 @@ def _structural_violations(
             out.append(
                 Violation("BoundOrder", f"ne[{i}] = {lo!r} exceeds po[{i}] = {hi!r}", i)
             )
+    if whole:
+        out += _set_violations(ne, po)
     return out
 
 
@@ -143,22 +139,15 @@ def validate(
     * ``BoundOrder``    -- ne_i > po_i,
     * ``Infeasible``    -- sum(ne) > 1 or sum(po) < 1 (empty region).
 
-    Labels default to ``opt1..optM`` when absent.
+    Labels default to ``opt1..optM`` when absent.  The per-option checks and
+    the snapping are the constructor's: both build through one checked path.
     """
     ne = [float(x) for x in raw_ne]
     po = [float(x) for x in raw_po]
     if labels is None:
         labels = default_labels(len(ne))
     labels = tuple(str(s) for s in labels)
-
-    violations = _structural_violations(ne, po, len(labels))
-    if not any(v.code == "LengthMismatch" for v in violations):
-        # on no options at all, the set checks name TooFewOptions themselves
-        violations = [v for v in violations if v.code != "TooFewOptions"]
-        violations += _set_violations(ne, po)
-    if violations:
-        raise ValidationError(violations)
-    return IntervalAssignment(labels, tuple(ne), tuple(po))
+    return IntervalAssignment._checked(labels, ne, po, whole=True)
 
 
 def _set_violations(ne, po) -> list[Violation]:

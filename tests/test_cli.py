@@ -483,6 +483,18 @@ class TestExitCodes:
         assert report["error"]["message"].startswith(message)
         assert err == f"ParseError: {report['error']['message']}\n"
 
+    @pytest.mark.parametrize("command", ["validate", "crosstab"])
+    def test_deep_nesting_is_a_parse_error(self, tmp_path, capsys, command):
+        # past the recursion limit json raises RecursionError, not a decode error
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000 + "]" * 100_000)
+        assert main([command, str(path)]) == 2
+        out, err = capsys.readouterr()
+        report = json.loads(out)
+        assert report["error"]["type"] == "ParseError"
+        assert "too deeply" in report["error"]["message"]
+        assert err == f"ParseError: {report['error']['message']}\n"
+
     @pytest.mark.parametrize(
         "command,doc",
         [
