@@ -1,4 +1,4 @@
-"""One helper process, forked once per process and lent to one caller at a
+"""One helper process, forked on the first lend and lent to one caller at a
 time: it runs one function on one part of a job while the caller runs it
 on the other part, and sends its result back over a pipe.
 
@@ -10,8 +10,9 @@ of a large inclusion-exclusion sweep, and subtracts the exact integers.
 So no bit depends on whether, or where, the helper ran.
 
 A forked helper has the modules its caller had: one forked by the sampler
-has numpy, and one forked by the closed form imports numpy on its first
-sampling job.
+has numpy.  One forked by the closed form before numpy was loaded is closed
+at the first lend after numpy is, which forks another that has it, so that
+a sampling caller does not wait while the helper imports numpy.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from __future__ import annotations
 import atexit
 import contextlib
 import os
+import sys
 import threading
 
 # Processes that share one job: the caller, and the helper on Linux where
@@ -28,7 +30,8 @@ import threading
 _WORKERS = min(2, len(os.sched_getaffinity(0))) if hasattr(os, "sched_getaffinity") else 1
 
 # The helper once forked, as (pid, its job pipe's write end, its reply
-# pipe's read end), and the lock that lends it to one caller at a time.
+# pipe's read end, whether numpy was loaded when it was forked), and the
+# lock that lends it to one caller at a time.
 _process = None
 _lock = threading.Lock()
 
@@ -38,9 +41,11 @@ def lend(fn, mine: tuple, theirs: tuple, fork: bool = True):
     this thread runs fn(*mine); or None, with neither run, when there is no
     helper to lend: one worker, another thread holding it, or none forked
     yet and ``fork`` false.  fn pickles by reference, so it must be a
-    module-level function.  Either side's exception is raised here.  One on
-    this side, or a dead helper, closes the helper, so that no later lend
-    can read this one's reply; a failed fork reaches the caller."""
+    module-level function.  Once this process has imported numpy, a
+    helper forked before that is closed first, and another forked.  Either
+    side's exception is raised here.  One on this side, or a dead helper,
+    closes the helper, so that no later lend can read this one's reply; a
+    failed fork reaches the caller."""
     global _process
     if _WORKERS < 2 or (_process is None and not fork):
         return None
@@ -49,9 +54,11 @@ def lend(fn, mine: tuple, theirs: tuple, fork: bool = True):
     try:
         import pickle
 
+        if _process is not None and not _process[3] and "numpy" in sys.modules:
+            close()
         if _process is None:
             _process = _fork()
-        pid, jobs, replies = _process
+        pid, jobs, replies, _ = _process
         try:
             _write(jobs, pickle.dumps((fn, theirs)))
             ours = fn(*mine)
@@ -70,6 +77,7 @@ def lend(fn, mine: tuple, theirs: tuple, fork: bool = True):
 
 
 def _fork() -> tuple:
+    numpy = "numpy" in sys.modules
     (jobs_r, jobs), (replies, replies_w) = os.pipe(), os.pipe()
     try:
         pid = os.fork()
@@ -86,7 +94,7 @@ def _fork() -> tuple:
             os._exit(0)  # never back into the caller's stack
     os.close(jobs_r)
     os.close(replies_w)
-    return pid, jobs, replies
+    return pid, jobs, replies, numpy
 
 
 def _serve(jobs: int, replies: int) -> None:
@@ -120,7 +128,7 @@ def close() -> None:
     runs every job itself if its copy of the lock is held)."""
     global _process
     if _process is not None:
-        (pid, jobs, replies), _process = _process, None
+        (pid, jobs, replies, _), _process = _process, None
         os.close(jobs)
         os.close(replies)
         with contextlib.suppress(ChildProcessError):

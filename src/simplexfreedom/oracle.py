@@ -26,22 +26,24 @@ one spacing per test for a box, one table row or column per test for a joint
 table.  They share one layout: rows come in blocks of 2^20 (the last holds
 the rest), coordinate i of row r in a block is word i*rows + r of that
 block, and each row is sorted ascending (any correct sort gives the same
-bits).  That layout is the contract.  A block is evaluated one sub-block
+bits).  That layout is the contract.  The rows are evaluated one sub-block
 at a time, each coordinate read from the stream seeked to the start of its
 counter run, which is only an order of evaluation: it changes no bit of any
-estimate.  So is the sub-block's size: at most 2^15 rows, and fewer as k
-grows, so that a process's k + 1 rows of it stay in its L2 cache
-(``_rows``).  So is the process: with a second CPU, the one helper
-process (``helper``) counts the odd sub-blocks of an estimate while the
-caller counts the even ones.  splitmix64 is counter-based, so any split of
-the counter space draws the same words (Steele, Lea & Flood, OOPSLA 2014;
-Salmon et al., SC 2011).  Each process has one sub-block workspace, cut from
-one buffer so that its rows and masks start on 4 KiB pages: k coordinate
-rows, one spare row and two boolean masks.  One kernel, ``_fill``, runs the
-update equations on a whole row in place, and fills each coordinate row with
-the spare row as its scratch; a sorting network for k wires then sorts the
-rows in place through the spare row, and the spare row then holds each
-test's sum in turn.  No row allocates a temporary.
+estimate.  So is the sub-block's size: a power of two of rows up to 2^15,
+fewer as k grows, so that a process's k + 1 rows of it stay in its L2 cache
+(``_rows``); it divides 2^20, so sub-block n, rows n*size on, lies in one
+block.  So is the process: with a second CPU, the one helper process
+(``helper``) counts the odd sub-blocks of an estimate while the caller
+counts the even ones, each in one stride.  splitmix64 is counter-based,
+so any split of the counter space draws the same words (Steele, Lea &
+Flood, OOPSLA 2014; Salmon et al., SC 2011).  Each process has one
+sub-block workspace, cut from one buffer so that its rows and masks start
+on 4 KiB pages: k coordinate rows, one spare row and two boolean masks.
+One kernel, ``_fill``, runs the update equations on a whole row in place,
+and fills each coordinate row with the spare row as its scratch; a sorting
+network for k wires then sorts the rows in place through the spare row,
+and the spare row then holds each test's sum in turn.  No row allocates a
+temporary.
 
 The contract above is stated in doubles, and a float implementation of it
 gets the same bits as this one, which evaluates it in the 53-bit integers
@@ -59,9 +61,10 @@ one difference x[z+1] - x[a] of the sorted integers x = (0, u_0, ...,
 u_{k-1}, 2^53), so no spacing is formed on its own.
 
 numpy is imported only inside the functions that build or touch arrays, so
-it loads on the first sampling call (``verify`` and ``crosstab``).  A helper
-forked by an estimate is forked after it, so that it inherits numpy; one
-that the closed form forked first imports numpy on its first sampling job.
+it loads on the first sampling call (``verify`` and ``crosstab``).  An
+estimate forks the helper after it, so that it inherits numpy; a helper the
+closed form forked before numpy was loaded is replaced at the first lend
+after it.
 """
 
 from __future__ import annotations
@@ -252,31 +255,21 @@ def _estimate(
     Each test becomes integer cuts (``_cuts``) and the sorted integers its
     sum adds and subtracts (``_ends``), summed into the spare row; uint64
     arithmetic wraps modulo 2^64, and every sum ends in [0, 2^53], so the
-    order of the terms is free.  Each sub-block holds ``_rows(k)`` rows
-    (the last of a block the rest).  The helper process counts the odd
-    sub-blocks (``helper.lend``) unless there is one worker or one
-    sub-block, or another thread holds it; then this thread counts them
-    all."""
+    order of the terms is free.  Sub-block n is the n-th ``_rows(k)`` rows:
+    the helper process counts the odd ones (``helper.lend``) and this thread
+    the even ones, each in one stride, unless there is one worker or one
+    sub-block, or another thread holds it; then this thread counts them all."""
     seed = _seed(seed)
     plans = [(*_ends(cells), _cuts(ne, po, scale)) for cells, ne, po in tests]
-    sub = _rows(k)
-    # every sub-block of every block, as (block start, rows, start, length)
-    subs = [
-        (done, rows, start, min(sub, rows - start))
-        for done in range(0, samples, _CHUNK)
-        for rows in [min(_CHUNK, samples - done)]
-        for start in range(0, rows, sub)
-    ]
-    width = min(sub, samples)
     counts = None
-    if len(subs) > 1:
+    if samples > _rows(k):
         _constants()  # numpy and the counter offsets, for a helper forked here
         counts = helper.lend(
             _accepted,
-            (k, seed, plans, subs[::2], width),
-            (k, seed, plans, subs[1::2], width),
+            (k, seed, plans, samples, 0, 2),
+            (k, seed, plans, samples, 1, 2),
         )
-    accepted = sum(counts) if counts else _accepted(k, seed, plans, subs, width)
+    accepted = sum(counts) if counts else _accepted(k, seed, plans, samples, 0, 1)
     if accepted < MIN_ACCEPTED:
         warnings.warn(_NOISY.format(accepted, samples), LowAcceptanceWarning, stacklevel=3)
     factor = math.prod([scale] * k, start=1.0)
@@ -287,7 +280,8 @@ def _estimate(
 
 def _rows(k: int) -> int:
     """Rows per sub-block at k coordinates: the largest power of two, at most
-    ``_SUB`` and at least 1, whose k + 1 uint64 rows fit in ``_L2`` bytes."""
+    ``_SUB`` and at least 1, whose k + 1 uint64 rows fit in ``_L2`` bytes.
+    It divides the 2^20 rows of a block, so no sub-block straddles two."""
     return min(_SUB, 1 << max(0, (_L2 // (8 * (k + 1))).bit_length() - 1))
 
 
@@ -306,21 +300,26 @@ def _workspace(k: int, width: int) -> tuple[np.ndarray, np.ndarray]:
     return work, masks
 
 
-def _accepted(k, seed, plans, subs, width) -> int:
-    """Rows accepted in the sub-blocks ``subs``, each at most ``width`` rows
-    long, evaluated one at a time in one workspace from ``_workspace``."""
+def _accepted(k, seed, plans, samples, first, step) -> int:
+    """Rows accepted in sub-blocks first, first + step, ... of ``samples``
+    rows, sub-block n being rows n*sub up to min((n + 1)*sub, samples) with
+    sub = ``_rows(k)``, evaluated one at a time in one workspace."""
     import numpy as np
 
+    sub = _rows(k)
     top = np.uint64(_ONE)
-    work, (ok, hit) = _workspace(k, width)
+    work, (ok, hit) = _workspace(k, min(sub, samples))
     accepted = 0
-    for done, rows, start, b in subs:
+    for at in range(first * sub, samples, step * sub):
+        done = at - at % _CHUNK
+        rows = min(_CHUNK, samples - done)
+        b = min(sub, samples - at)
         *u, spare = work[:, :b]
         # coordinate i of the block is the counter run starting at word
-        # done*k + i*rows; this sub-block reads it from word start on,
-        # through the spare row, which is idle until the network starts
+        # done*k + i*rows; this sub-block reads it from its row at - done
+        # on, through the spare row, which is idle until the network starts
         for i, row in enumerate(u):
-            _fill(row, seed + (done * k + i * rows + start) * _GOLDEN, spare)
+            _fill(row, seed + (done * k + i * rows + at - done) * _GOLDEN, spare)
         for i, j in _network(k):
             np.minimum(u[i], u[j], out=spare)
             np.maximum(u[i], u[j], out=u[j])

@@ -723,6 +723,33 @@ def test_sub_block_rows_never_fall_below_one(
     _assert_helper_on_and_off(monkeypatch, kind, size, samples, mean, std_error)
 
 
+@pytest.mark.parametrize(
+    "sub, l2",
+    [(oracle._SUB, oracle._L2), (1 << 14, 1 << 40), (1 << 15, 1 << 40),
+     (1 << 16, 1 << 40), (oracle._SUB, 1)],
+)
+def test_sub_block_rows_divide_the_block(monkeypatch, sub, l2):
+    # so that sub-block n, rows n * _rows(k) on, lies in one 2^20-row block,
+    # at every budget the tests above set
+    monkeypatch.setattr(oracle, "_SUB", sub)
+    monkeypatch.setattr(oracle, "_L2", l2)
+    assert all(oracle._CHUNK % oracle._rows(k) == 0 for k in range(1, 65))
+
+
+@pytest.mark.parametrize("k", [1, 6, 12])
+def test_the_stride_walks_every_row_once(k):
+    # with one test every row passes, the accepted count is the rows walked:
+    # all of them in one stride, or the even and odd sub-blocks between two,
+    # at the block seams and past a second seam by a part sub-block
+    plans = [(*oracle._ends([0]), _cuts(0.0, 1.0))]
+    sub = oracle._rows(k)
+    chunk = oracle._CHUNK
+    for n in (chunk - 1, chunk, chunk + 1, 2 * chunk + 3 * sub + 5):
+        whole = oracle._accepted(k, k, plans, n, 0, 1)
+        halves = [oracle._accepted(k, k, plans, n, first, 2) for first in (0, 1)]
+        assert whole == n == sum(halves), (n, halves)
+
+
 def _failing_within(side: str):
     """``_within`` that raises on its first call in the caller, or in each
     helper process, and then passes."""
