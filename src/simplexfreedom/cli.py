@@ -58,6 +58,10 @@ def _parse_entries(entries, key: str, label_prefix: str) -> IntervalAssignment:
         ne.append(entry["ne"])
         po.append(entry["po"])
         labels.append(str(entry.get("name", f"{label_prefix}{i + 1}")))
+        try:  # a lone surrogate escape parses as JSON but no report can print it
+            labels[-1].encode("utf-8")
+        except UnicodeEncodeError:
+            raise ParseError(f"{key}[{i}].name is not encodable as UTF-8") from None
     return validate(ne, po, labels)
 
 

@@ -123,10 +123,6 @@ def _conditional_mass(q: float) -> float:
     return q
 
 
-def default_labels(m: int) -> tuple[str, ...]:
-    return tuple(f"opt{i + 1}" for i in range(m))
-
-
 def validate(
     raw_ne, raw_po, labels: list[str] | tuple[str, ...] | None = None
 ) -> IntervalAssignment:
@@ -145,7 +141,7 @@ def validate(
     ne = [float(x) for x in raw_ne]
     po = [float(x) for x in raw_po]
     if labels is None:
-        labels = default_labels(len(ne))
+        labels = [f"opt{i + 1}" for i in range(len(ne))]
     labels = tuple(str(s) for s in labels)
     return IntervalAssignment._checked(labels, ne, po, whole=True)
 

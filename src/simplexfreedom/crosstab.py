@@ -11,6 +11,10 @@ margins:
 and the joint nonspecificity (volume of admissible joint tables) has no
 closed form here; it is estimated by rejection sampling over the full
 (KM-1)-simplex.
+
+The cell functions check a row and a column margin as the two-option
+``IntervalAssignment`` (option 0 the row, 1 the column): every violation at
+once, the order test on the bounds as given, and the snapped bounds used.
 """
 
 from __future__ import annotations
@@ -48,14 +52,10 @@ def _check_unit(name: str, v: float) -> float:
     return min(max(v, 0.0), 1.0)
 
 
-def _check_margin_pair(ne: float, po: float, what: str) -> tuple[float, float]:
-    ne = _check_unit(f"ne_{what}", ne)
-    po = _check_unit(f"po_{what}", po)
-    if ne > po + TOLERANCE:
-        raise ValidationError(
-            [Violation("BoundOrder", f"ne_{what} = {ne!r} exceeds po_{what} = {po!r}")]
-        )
-    return min(ne, po), po
+def _margins(ne_row, po_row, ne_col, po_col):
+    """(ne_row, ne_col) and (po_row, po_col) of the checked row/col assignment."""
+    a = IntervalAssignment(("row", "col"), (ne_row, ne_col), (po_row, po_col))
+    return a.ne, a.po
 
 
 def _frechet(a: float, b: float) -> tuple[float, float]:
@@ -76,9 +76,9 @@ class CellBounds(NamedTuple):
 def cell_bounds(
     ne_row: float, po_row: float, ne_col: float, po_col: float
 ) -> CellBounds:
-    """Bounds on ne_ij and po_ij induced by one row and one column margin."""
-    ne_row, po_row = _check_margin_pair(ne_row, po_row, "row")
-    ne_col, po_col = _check_margin_pair(ne_col, po_col, "col")
+    """Bounds on ne_ij and po_ij induced by one row and one column margin,
+    checked and snapped as the module docstring says."""
+    (ne_row, ne_col), (po_row, po_col) = _margins(ne_row, po_row, ne_col, po_col)
     return CellBounds(*_frechet(ne_row, ne_col), *_frechet(po_row, po_col))
 
 
@@ -132,9 +132,9 @@ def classify_cell(
 
     inside case 3, so the ``>`` branch is widest at D = 1 and the ``<``
     branch at D = 0.  Case 1 is always widest at D = 0 and case 2 at D = 1.
+    The margins are checked and snapped as in :func:`cell_bounds`.
     """
-    ne_row, po_row = _check_margin_pair(ne_row, po_row, "row")
-    ne_col, po_col = _check_margin_pair(ne_col, po_col, "col")
+    (ne_row, ne_col), (po_row, po_col) = _margins(ne_row, po_row, ne_col, po_col)
     if ne_row + ne_col > 1.0:
         return CellCase(case_tag=CASE1, d_maximizing=0.0)
     if po_row + po_col < 1.0:
@@ -157,10 +157,9 @@ def cell_width_vs_dependency(
     marginals (a, b) range over their intervals.  That map is nondecreasing
     in both a and b, so the induced set spans exactly from the lower margin
     corner to the upper one; the width is the difference of the two corner
-    values.
+    values.  The margins are checked as in :func:`cell_bounds`, then d.
     """
-    ne_row, po_row = _check_margin_pair(ne_row, po_row, "row")
-    ne_col, po_col = _check_margin_pair(ne_col, po_col, "col")
+    (ne_row, ne_col), (po_row, po_col) = _margins(ne_row, po_row, ne_col, po_col)
     d = _check_unit("d", d)
 
     def pinned(a: float, b: float) -> float:

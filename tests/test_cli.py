@@ -518,6 +518,26 @@ class TestExitCodes:
         assert [r[1:] for r in reports[:2]] == [r[1:] for r in reports[2:]]
         assert reports[0][2] == 0
 
+    @pytest.mark.parametrize(
+        "argv", [["validate"], ["subsets", "--format", "csv"]], ids=["json", "csv"]
+    )
+    def test_a_lone_surrogate_name_is_a_parse_error(self, tmp_path, capsys, argv):
+        # "\ud800" is valid JSON, but UTF-8 cannot encode it, so no report
+        # can print it; a fresh process checks the console's own stdout
+        path = tmp_path / "in.json"
+        path.write_text(
+            '{"options": [{"name": "\\ud800", "ne": 0.1, "po": 0.8},'
+            ' {"ne": 0.1, "po": 0.8}, {"name": "p", "ne": 0.2, "po": 0.2}]}'
+        )
+        argv = [argv[0], str(path), *argv[1:]]
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        proc = fresh_interpreter("-m", "simplexfreedom.cli", *argv)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (2, out, err)
+        message = "options[0].name is not encodable as UTF-8"
+        assert json.loads(out)["error"] == {"type": "ParseError", "message": message}
+        assert err == f"ParseError: {message}\n"
+
     def test_validation_exit_1(self, tmp_path, capsys):
         doc = {"options": [{"ne": 0.9, "po": 0.95}, {"ne": 0.5, "po": 0.6}]}
         path = write(tmp_path, "bad.json", doc)
