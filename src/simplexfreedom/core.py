@@ -116,6 +116,13 @@ def _integer(value, name: str) -> int:
         raise DomainError(f"{name} must be an integer, got {value!r}") from None
 
 
+def _scaled(values: list[float]) -> tuple[list[int], int]:
+    """Integers n_i and one exponent e with values[i] == n_i / 2**e exactly."""
+    ratios = [v.as_integer_ratio() for v in values]
+    e = max(d.bit_length() - 1 for _, d in ratios)
+    return [n << (e - (d.bit_length() - 1)) for n, d in ratios], e
+
+
 def _conditional_mass(q: float) -> float:
     q = float(q)
     if not (0.0 < q <= 1.0):

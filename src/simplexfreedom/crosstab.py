@@ -45,11 +45,17 @@ CASE3B = "case3b"
 BOUNDARY = "boundary"
 
 
-def _check_unit(name: str, v: float) -> float:
-    v = float(v)
-    if not math.isfinite(v) or v < -TOLERANCE or v > 1.0 + TOLERANCE:
-        raise ValidationError([Violation("RangeError", f"{name} = {v!r} outside [0, 1]")])
-    return min(max(v, 0.0), 1.0)
+def _check_units(**values: float) -> list[float]:
+    """The values snapped onto [0, 1]; raises every one outside it at once."""
+    values = {name: float(v) for name, v in values.items()}
+    bad = [
+        Violation("RangeError", f"{name} = {v!r} outside [0, 1]")
+        for name, v in values.items()
+        if not math.isfinite(v) or v < -TOLERANCE or v > 1.0 + TOLERANCE
+    ]
+    if bad:
+        raise ValidationError(bad)
+    return [min(max(v, 0.0), 1.0) for v in values.values()]
 
 
 def _margins(ne_row, po_row, ne_col, po_col):
@@ -91,9 +97,7 @@ def dependency(p_joint: float, p_row: float, p_col: float) -> float:
     not in general mean statistical independence.  Raises DegenerateCell
     when the Frechet interval [B, A] has zero width (a margin of 0 or 1).
     """
-    p_joint = _check_unit("p_joint", p_joint)
-    p_row = _check_unit("p_row", p_row)
-    p_col = _check_unit("p_col", p_col)
+    p_joint, p_row, p_col = _check_units(p_joint=p_joint, p_row=p_row, p_col=p_col)
     b, a = _frechet(p_row, p_col)
     if a - b <= 1e-12:
         raise DegenerateCell(
@@ -160,7 +164,7 @@ def cell_width_vs_dependency(
     values.  The margins are checked as in :func:`cell_bounds`, then d.
     """
     (ne_row, ne_col), (po_row, po_col) = _margins(ne_row, po_row, ne_col, po_col)
-    d = _check_unit("d", d)
+    (d,) = _check_units(d=d)
 
     def pinned(a: float, b: float) -> float:
         lo, hi = _frechet(a, b)
@@ -197,9 +201,9 @@ class CrossTable(_CrossTableFields):
             raise ValidationError(
                 [Violation("LengthMismatch", f"joint must be {k}x{m}")]
             )
-        for i, row in enumerate(joint):
-            for j, v in enumerate(row):
-                _check_unit(f"joint[{i}][{j}]", v)
+        _check_units(
+            **{f"joint[{i}][{j}]": v for i, row in enumerate(joint) for j, v in enumerate(row)}
+        )
         total = math.fsum(x for row in joint for x in row)
         if abs(total - 1.0) > TOLERANCE:
             raise ValidationError(

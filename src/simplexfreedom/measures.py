@@ -38,7 +38,7 @@ from collections.abc import Sequence
 from typing import NamedTuple
 
 from . import helper
-from .core import TOLERANCE, IntervalAssignment, _conditional_mass
+from .core import TOLERANCE, IntervalAssignment, _conditional_mass, _scaled
 from .errors import CapExceeded, ValidationError, Violation
 
 # The closed form's work limit: the subsets _sweep keeps (the first half
@@ -67,13 +67,6 @@ def _require_measurable(a: IntervalAssignment) -> None:
         raise ValidationError(
             [Violation("TooFewOptions", "the measure needs at least 2 options")]
         )
-
-
-def _scaled(values: list[float]) -> tuple[list[int], int]:
-    """Integers n_i and one exponent e with values[i] == n_i / 2**e exactly."""
-    ratios = [v.as_integer_ratio() for v in values]
-    e = max(d.bit_length() - 1 for _, d in ratios)
-    return [n << (e - (d.bit_length() - 1)) for n, d in ratios], e
 
 
 def _width_sums(
@@ -308,7 +301,7 @@ def _box_volumes(
 
 
 def freedom(a: IntervalAssignment) -> float:
-    """Fraction of the simplex volume compatible with the bounds, in [0, 1].
+    """Share of the simplex volume compatible with the bounds, in [0, 1].
 
     Computed on the bounds as given: tightening leaves the region, and so
     the exact value, unchanged.  Raises CapExceeded when the exact sum would

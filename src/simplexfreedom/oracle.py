@@ -75,12 +75,10 @@ import warnings
 from typing import TYPE_CHECKING, NamedTuple
 
 from . import helper
-from .core import IntervalAssignment, _conditional_mass, _integer
+from .core import IntervalAssignment, _conditional_mass, _integer, _scaled
 from .errors import DomainError, LowAcceptanceWarning, WrongDimension
 
 if TYPE_CHECKING:
-    from numbers import Rational
-
     import numpy as np
 
 _MASK64 = (1 << 64) - 1
@@ -457,21 +455,20 @@ class RegionPolygon(NamedTuple):
 
 
 def _clip_halfplane(
-    points: list[tuple[Rational, Rational]], a: int, b: int, c: Rational
-) -> list[tuple[Rational, Rational]]:
+    points: list[tuple[int, int]], a: int, b: int, c: int
+) -> list[tuple[int, int]]:
     """Keep the part of a convex polygon with a*x + b*y <= c."""
-    out: list[tuple[Rational, Rational]] = []
-    n = len(points)
-    for i in range(n):
-        x1, y1 = points[i]
-        x2, y2 = points[(i + 1) % n]
+    out: list[tuple[int, int]] = []
+    for (x1, y1), (x2, y2) in zip(points, points[1:] + points[:1]):
         d1 = a * x1 + b * y1 - c
         d2 = a * x2 + b * y2 - c
         if d1 <= 0:
             out.append((x1, y1))
         if (d1 < 0 < d2) or (d2 < 0 < d1):
-            t = d1 / (d1 - d2)
-            out.append((x1 + t * (x2 - x1), y1 + t * (y2 - y1)))
+            # exact: the edge and a*x + b*y = c each lie on a line x, y or
+            # x + y = a grid value, so they cross at a grid point
+            d = d1 - d2
+            out.append((x1 + d1 * (x2 - x1) // d, y1 + d1 * (y2 - y1) // d))
     return out
 
 
@@ -480,32 +477,30 @@ def region_polygon(a: IntervalAssignment) -> RegionPolygon:
 
     The triangle {(p1, p2): p1, p2 >= 0, p1 + p2 <= 1} is clipped by the six
     half-planes ne_1 <= p1 <= po_1, ne_2 <= p2 <= po_2 and
-    ne_3 <= 1 - p1 - p2 <= po_3 in turn (Sutherland-Hodgman), on the exact
-    rationals of the float bounds; a vertex that repeats is dropped.
-    Vertices come back counter-clockwise; the exact shoelace area over the
-    half-triangle area, rounded once, is a sampling-free second route to the
-    freedom measure, and equals ``freedom(a)`` bit for bit.
+    ne_3 <= 1 - p1 - p2 <= po_3 in turn (Sutherland-Hodgman), exactly, on
+    integers over one power-of-two denominator shared by every float
+    bound; a vertex that repeats is dropped.  Vertices come back
+    counter-clockwise; the exact shoelace area over the half-triangle area,
+    rounded once like each vertex coordinate, is a sampling-free second
+    route to the freedom measure, and equals ``freedom(a)`` bit for bit.
     """
-    from fractions import Fraction  # it loads decimal: only M = 3 polygons pay for that
-
     if a.m != 3:
         raise WrongDimension(f"region polygon needs exactly 3 options, got {a.m}")
-    ne, po = [list(map(Fraction, bounds)) for bounds in (a.ne, a.po)]
-    points: list[tuple[Rational, Rational]] = [(0, 0), (1, 0), (0, 1)]
+    ints, _ = _scaled([*a.ne, *a.po, 1.0])
+    ne, po, one = ints[:3], ints[3:6], ints[6]
+    points = [(0, 0), (one, 0), (0, one)]
     halfplanes = (
         (1, 0, po[0]),  # p1 <= po1
         (-1, 0, -ne[0]),  # p1 >= ne1
         (0, 1, po[1]),  # p2 <= po2
         (0, -1, -ne[1]),  # p2 >= ne2
-        (1, 1, 1 - ne[2]),  # p3 >= ne3
-        (-1, -1, po[2] - 1),  # p3 <= po3
+        (1, 1, one - ne[2]),  # p3 >= ne3
+        (-1, -1, po[2] - one),  # p3 <= po3
     )
-    for h in halfplanes:
+    for h in halfplanes:  # an empty region clips to no points, of area 0
         points = _clip_halfplane(points, *h)
-        if not points:
-            return RegionPolygon((), 0.0)
     points = list(dict.fromkeys(points))  # ring order, each vertex once
     # shoelace signed sum equals area/(1/2) directly
     ring = zip(points, points[1:] + points[:1])
     signed = sum(x1 * y2 - x2 * y1 for (x1, y1), (x2, y2) in ring)
-    return RegionPolygon(tuple((float(x), float(y)) for x, y in points), float(signed))
+    return RegionPolygon(tuple((x / one, y / one) for x, y in points), signed / one**2)

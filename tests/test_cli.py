@@ -718,14 +718,13 @@ class TestCommandLine:
 
 
 # the sampler's lazy imports: numpy, and pickle, which numpy loads too and
-# which carries the helper process's jobs and replies; and the M = 3 region's:
-# fractions, which loads decimal; and modules no JSON call loads at all:
-# dataclasses (the result records are named tuples) and csv (only
-# --format csv needs it)
+# which carries the helper process's jobs and replies; and modules no JSON
+# call loads at all: fractions and decimal (the M = 3 region clips on
+# integers), dataclasses (the result records are named tuples) and csv
+# (only --format csv needs it)
 SAMPLER_MODULES = ("numpy", "pickle")
-REGION_MODULES = ("fractions", "decimal")
-UNUSED_MODULES = ("dataclasses", "csv")
-LAZY_MODULES = SAMPLER_MODULES + REGION_MODULES + UNUSED_MODULES
+UNUSED_MODULES = ("fractions", "decimal", "dataclasses", "csv")
+LAZY_MODULES = SAMPLER_MODULES + UNUSED_MODULES
 
 # the package modules that the closed form never runs: each is registered
 # lazily, so it sits in sys.modules from the package import on, and any
@@ -765,10 +764,10 @@ class TestNumpyFreeStart:
     """The closed-form commands start and run without loading numpy or
     pickle; the sampling commands load both on their first estimate.  A
     closed-form call that forks the helper process loads pickle for its
-    pipes, and still not numpy.  Only ``region`` loads fractions and
-    decimal.  No command with JSON output loads dataclasses or csv.  Of
-    the package's lazily loaded modules, each call runs only those its
-    command uses (``RUNS``), and a bare package import runs none."""
+    pipes, and still not numpy.  No command with JSON output loads
+    fractions, decimal, dataclasses or csv.  Of the package's lazily
+    loaded modules, each call runs only those its command uses
+    (``RUNS``), and a bare package import runs none."""
 
     def test_package_import_leaves_numpy_unloaded(self):
         proc = fresh_interpreter(
@@ -797,7 +796,6 @@ class TestNumpyFreeStart:
         argv = [argv[0], path, *argv[1:]]
         proc = fresh_interpreter("-c", CHILD, *argv)
         loads = [loads_sampler] * len(SAMPLER_MODULES)
-        loads += [argv[0] == "region"] * len(REGION_MODULES)
         loads += [False] * len(UNUSED_MODULES)
         ran = runs(*RUNS.get(argv[0], ()))
         assert proc.stderr.splitlines()[-3:] == ["False", str(loads), ran], proc.stderr

@@ -95,6 +95,15 @@ class TestDependency:
         with pytest.raises(FrechetViolation):
             dependency(0.6, 0.5, 0.5)
 
+    def test_range_check_names_every_argument(self):
+        with pytest.raises(ValidationError) as exc:
+            dependency(1.5, -0.5, 2.0)
+        assert str(exc.value) == (
+            "RangeError: p_joint = 1.5 outside [0, 1]; "
+            "RangeError: p_row = -0.5 outside [0, 1]; "
+            "RangeError: p_col = 2.0 outside [0, 1]"
+        )
+
 
 class TestClassifyCell:
     def test_case1(self):
@@ -190,6 +199,19 @@ class TestCrossTable:
             joint=((0.25, 0.25), (0.25, 0.25)),
         )
         assert t.joint == ((0.25, 0.25), (0.25, 0.25))
+
+    def test_joint_range_check_names_every_cell(self):
+        # the cells sum to 1, so only the range check can refuse them
+        r = validate([0, 0], [1, 1])
+        with pytest.raises(ValidationError) as exc:
+            CrossTable(r, r, [[1.5, -0.5], [2.0, -2.0]])
+        assert exc.value.codes == ("RangeError",) * 4
+        assert str(exc.value) == (
+            "RangeError: joint[0][0] = 1.5 outside [0, 1]; "
+            "RangeError: joint[0][1] = -0.5 outside [0, 1]; "
+            "RangeError: joint[1][0] = 2.0 outside [0, 1]; "
+            "RangeError: joint[1][1] = -2.0 outside [0, 1]"
+        )
 
     def test_joint_sum_check(self):
         with pytest.raises(ValidationError) as exc:

@@ -1033,6 +1033,48 @@ def test_sampler_memory_is_its_workspaces():
         assert workspaces <= peak <= workspaces + 64 * 2**10, m
 
 
+def fraction_clip(points, a, b, c):
+    """Keep the part of a convex polygon with a*x + b*y <= c, on Fractions."""
+    out = []
+    n = len(points)
+    for i in range(n):
+        x1, y1 = points[i]
+        x2, y2 = points[(i + 1) % n]
+        d1 = a * x1 + b * y1 - c
+        d2 = a * x2 + b * y2 - c
+        if d1 <= 0:
+            out.append((x1, y1))
+        if (d1 < 0 < d2) or (d2 < 0 < d1):
+            t = d1 / (d1 - d2)
+            out.append((x1 + t * (x2 - x1), y1 + t * (y2 - y1)))
+    return out
+
+
+def fraction_region_polygon(a: IntervalAssignment) -> oracle.RegionPolygon:
+    """The reference for ``region_polygon``: the same Sutherland-Hodgman clip
+    on the exact rationals of the float bounds, each output rounded once."""
+    ne, po = [list(map(Fraction, bounds)) for bounds in (a.ne, a.po)]
+    points = [(0, 0), (1, 0), (0, 1)]
+    halfplanes = (
+        (1, 0, po[0]),
+        (-1, 0, -ne[0]),
+        (0, 1, po[1]),
+        (0, -1, -ne[1]),
+        (1, 1, 1 - ne[2]),
+        (-1, -1, po[2] - 1),
+    )
+    for h in halfplanes:
+        points = fraction_clip(points, *h)
+        if not points:
+            return oracle.RegionPolygon((), 0.0)
+    points = list(dict.fromkeys(points))
+    ring = zip(points, points[1:] + points[:1])
+    signed = sum(x1 * y2 - x2 * y1 for (x1, y1), (x2, y2) in ring)
+    return oracle.RegionPolygon(
+        tuple((float(x), float(y)) for x, y in points), float(signed)
+    )
+
+
 class TestRegionPolygon:
     def test_vacuous_triangle(self):
         poly = region_polygon(validate([0, 0, 0], [1, 1, 1]))
@@ -1048,6 +1090,19 @@ class TestRegionPolygon:
             a = random_valid_assignment(rng, 3)
             poly = region_polygon(a)
             assert poly.area_fraction == pytest.approx(freedom(a), abs=1e-9)
+
+    @pytest.mark.parametrize("extreme", [5e-324, 1e-300, 1 - 2**-53])
+    def test_matches_the_fraction_clip(self, rng, extreme):
+        # vertices and area alike, with one bound at an extreme exponent:
+        # a tiny ne, or a po just below 1, of the option cycled through
+        for i in range(120):
+            a = random_valid_assignment(rng, 3)
+            if i % 2:
+                j = i // 2 % 3
+                bounds = [list(a.ne), list(a.po)]
+                bounds[extreme > 0.5][j] = extreme
+                a = IntervalAssignment(a.options, *bounds)
+            assert region_polygon(a) == fraction_region_polygon(a), a
 
     def test_vertices_inside_triangle_and_box(self, rng):
         for _ in range(50):
